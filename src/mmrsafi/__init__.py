@@ -9,10 +9,9 @@ from .linops import (ConvStage, FilterBank, box_bank, dense_matrix_of,
 from .phantom import make_phantom
 from .prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
                    dual_gradient, prox_weighted_l1)
-from .schemes import (MmrModel, SafiModel, SchemeTrace, build_weighted_operator,
-                      default_safi_model, default_tv_model, eval_majorization,
-                      eval_objective, mask_mmr, mask_safi, run_cvx, run_mmr,
-                      run_safi)
+from .schemes import (MmrModel, SafiModel, SchemeTrace, default_safi_model,
+                      default_tv_model, eval_majorization, eval_objective,
+                      mask_mmr, mask_safi, run_cvx, run_mmr, run_safi)
 from .splines import (ConcavePotential, HalfLineSpline, LinearSpline,
                       SigmoidSpline, clip, project_nonincreasing)
 

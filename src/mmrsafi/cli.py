@@ -20,9 +20,10 @@ from .linops import dense_matrix_of
 from .oracle import AdmmConfig, admm_prox_oracle
 from .params import model_from_archive
 from .phantom import make_phantom
-from .prox import ConstraintSet, ProxConfig, prox_weighted_l1
-from .schemes import (MmrModel, build_weighted_operator, default_safi_model,
-                      default_tv_model, run_cvx, run_mmr, run_safi)
+from .prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
+                   prox_weighted_l1)
+from .schemes import (MmrModel, default_safi_model, default_tv_model, run_cvx,
+                      run_mmr, run_safi)
 
 
 class CliError(Exception):
@@ -158,7 +159,7 @@ def _cmd_prox_check(args):
         weights = rng.uniform_array((2, 8, 8))
         gamma = (0.05, 0.3, 1.0)[i % 3]
         X = (ConstraintSet.all_space(), ConstraintSet.box(0.0, 1.0))[i % 2]
-        L = build_weighted_operator(bank, weights)
+        L = WeightedAnalysisOperator(bank, weights)
         res = prox_weighted_l1(z, L, gamma, X,
                                ProxConfig(max_iters=20000, epsilon=1e-13))
         L_dense = dense_matrix_of(L.forward, (8, 8))

@@ -42,6 +42,8 @@ class FbsResult:
     dual: np.ndarray
     iterations: int
     converged: bool
+    prox_iterations: int     # dual iterations summed over the prox calls
+    prox_unconverged: int    # prox calls that hit their budget
 
 
 def momentum_next(k):
@@ -97,6 +99,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     x_tilde = x
     t = 1.0
     dual = warm_u
+    prox_iters = prox_unconverged = 0
     for k in range(1, max_iter + 1):
         grad = H.adjoint(H.forward(x_tilde) - y)
         z = x_tilde - alpha * grad
@@ -112,6 +115,8 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
                 ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
                 warm_u=dual)
             x_next, dual = pres.x, pres.dual
+            prox_iters += pres.iterations
+            prox_unconverged += not pres.converged
         else:
             x_next = X.project(z)
         if not np.all(np.isfinite(x_next)):
@@ -122,5 +127,5 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
         done = identity or diff < eps_fbs * np.linalg.norm(x) or diff == 0.0
         x, t = x_next, t_next
         if done:
-            return FbsResult(x, dual, k, True)
-    return FbsResult(x, dual, max_iter, False)
+            return FbsResult(x, dual, k, True, prox_iters, prox_unconverged)
+    return FbsResult(x, dual, max_iter, False, prox_iters, prox_unconverged)

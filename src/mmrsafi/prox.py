@@ -1,8 +1,12 @@
 """Proximal operator of gamma*||L.||_1 over a constraint set, via the dual.
 
 The dual problem is solved with accelerated projected gradient ascent; the
-primal is recovered as Proj_X{z - L^T u}.  The dual iterate is returned so
-that consecutive solves can be warm-started.
+primal is recovered as Proj_X{z - L^T u}.  Each dual iteration applies L
+once and L^T once: by linearity, the adjoint of the momentum point is the
+same combination of the adjoints of the last two iterates.  The solve stops
+on a relative change of the primal iterate, or on a change at the roundoff
+level of z - L^T u.  The dual iterate is returned so that consecutive
+solves can be warm-started.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,9 @@ from .linops import operator_norm
 
 _POWER_ITERS = 100
 _NORM_DEFLATION = 0.999
+# Primal changes at most this many machine epsilons times ||z|| are below
+# what z - L^T u resolves, so the stop rule treats them as no change.
+_ROUNDOFF_FLOOR = 4.0
 
 
 class ConstraintSet:
@@ -103,7 +110,14 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
 
     Accelerated projected gradient on the dual with steps clipped to
     [-gamma, gamma], momentum t_1 = 1, t_{k+1} = (k+5)/3, and stop rule
-    ||x_{k+1} - x_k|| < eps * ||x_k||.
+    ||x_{k+1} - x_k|| < eps * ||x_k||, or ||x_{k+1} - x_k|| at or below the
+    roundoff floor _ROUNDOFF_FLOOR * eps_machine * ||z||.
+
+    a_k = L^T u_k is carried across iterations, and the momentum point
+    v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
+    linearity, a_{k+1} + beta_k (a_{k+1} - a_k).  One L and one L^T call
+    per iteration; a_{k+1} is computed fresh from u_{k+1}, so no error
+    builds up.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -121,19 +135,26 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     else:
         # Power iteration lower-bounds the norm; deflate to keep alpha valid.
         alpha = _NORM_DEFLATION / norm ** 2
+    floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
 
     u = L.forward(z) if warm_u is None else np.asarray(warm_u, dtype=np.float64)
-    v = u
-    x = X.project(z - L.adjoint(u))
+    a = L.adjoint(u)
+    v, a_v = u, a
+    x = X.project(z - a)
     t = 1.0
     for k in range(1, cfg.max_iters + 1):
-        u_next = np.clip(v + alpha * dual_gradient(L, X, z, v), -gamma, gamma)
+        # v + alpha * dual_gradient(L, X, z, v), with L^T v already known.
+        u_next = np.clip(v + alpha * L.forward(X.project(z - a_v)),
+                         -gamma, gamma)
+        a_next = L.adjoint(u_next)
         t_next = (k + 5.0) / 3.0
-        v = u_next + ((t - 1.0) / t_next) * (u_next - u)
-        x_next = X.project(z - L.adjoint(u_next))
+        beta = (t - 1.0) / t_next
+        v = u_next + beta * (u_next - u)
+        a_v = a_next + beta * (a_next - a)
+        x_next = X.project(z - a_next)
         diff = np.linalg.norm(x_next - x)
-        done = diff < cfg.epsilon * np.linalg.norm(x) or diff == 0.0
-        u, t, x = u_next, t_next, x_next
+        done = diff < cfg.epsilon * np.linalg.norm(x) or diff <= floor
+        u, a, t, x = u_next, a_next, t_next, x_next
         if done:
             return ProxResult(x, u, k, True)
     return ProxResult(x, u, cfg.max_iters, False)

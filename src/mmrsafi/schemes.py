@@ -53,6 +53,17 @@ class SchemeTrace:
     objectives: list = field(default_factory=list)     # f(x_k), MMR only
     psnrs: list = field(default_factory=list)          # vs reference, if given
     iterate_norms: list = field(default_factory=list)  # ||x_{k+1}||_2
+    fbs_iterations: list = field(default_factory=list)    # per outer step
+    fbs_converged: list = field(default_factory=list)
+    prox_iterations: list = field(default_factory=list)   # summed per step
+    prox_unconverged: list = field(default_factory=list)  # prox calls at cap
+
+    def record_solve(self, res):
+        """Append the iteration counts and flags of one FBS solve."""
+        self.fbs_iterations.append(res.iterations)
+        self.fbs_converged.append(res.converged)
+        self.prox_iterations.append(res.prox_iterations)
+        self.prox_unconverged.append(res.prox_unconverged)
 
 
 def mask_mmr(model, x):
@@ -82,11 +93,6 @@ def mask_safi(model, x):
     for c, phi in enumerate(model.phi3):
         out[c] = phi(u[c])
     return out
-
-
-def build_weighted_operator(W, mask):
-    """L = [diag(mask_c) W_c] stacked over channels."""
-    return WeightedAnalysisOperator(W, mask)
 
 
 def eval_objective(model, H, y, x):
@@ -127,19 +133,20 @@ def _run_scheme(mask_fn, W, lam, H, y, cfg, X, x_init, reference, objective_fn):
     else:
         x = np.asarray(x_init, dtype=np.float64)
         mask = mask_fn(x)
-    L = build_weighted_operator(W, mask)
+    L = WeightedAnalysisOperator(W, mask)
     trace = SchemeTrace()
     dual = None
     for k in range(1, cfg.k_out + 1):
         res = fbs_solve(H, y, L, lam, x, k, cfg, X, warm_u=dual)
         x_next, dual = res.x, res.dual
+        trace.record_solve(res)
         trace.residuals.append(relative_change(x_next, x))
         trace.iterate_norms.append(float(np.linalg.norm(x_next)))
         if objective_fn is not None:
             trace.objectives.append(objective_fn(x_next))
         if reference is not None:
             trace.psnrs.append(psnr(reference, x_next))
-        L = build_weighted_operator(W, mask_fn(x_next))
+        L = WeightedAnalysisOperator(W, mask_fn(x_next))
         stop = (np.linalg.norm(x_next - x)
                 < cfg.eps_out * np.linalg.norm(x))
         x = x_next
@@ -181,9 +188,10 @@ def run_cvx(model, H, y, cfg=None, X=None, x_init=None, reference=None):
     lam = cfg.lam if cfg.lam is not None else model.lam
     shape = _image_shape(H, y)
     x = np.zeros(shape) if x_init is None else np.asarray(x_init, float)
-    L = build_weighted_operator(model.W, _ones_mask(model.W, shape))
+    L = WeightedAnalysisOperator(model.W, _ones_mask(model.W, shape))
     res = fbs_solve(H, y, L, lam, x, 1, cfg, X)
     trace = SchemeTrace(residuals=[relative_change(res.x, x)])
+    trace.record_solve(res)
     if reference is not None:
         trace.psnrs.append(psnr(reference, res.x))
     return res.x, trace

@@ -156,3 +156,18 @@ def test_nonfinite_init_rejected():
     with pytest.raises(NumericalError):
         fbs_solve(IdentityOp(), y, ones_difference((3, 3)), 0.1, bad, 1,
                   SolverConfig(), ConstraintSet.all_space())
+
+
+def test_prox_counts_summed_over_inner_calls():
+    rng = Rng(7)
+    H = MatrixOp(rng.gaussian_array((20, 16)) + 2.0 * np.eye(20, 16), (4, 4))
+    y = rng.gaussian_array(20)
+    L = ones_difference((4, 4))
+    X = ConstraintSet.all_space()
+    capped = fbs_solve(H, y, L, 0.1, np.zeros((4, 4)), 1,
+                       SolverConfig(k_fbs=5, k_prox=1, eps_prox=1e-16), X)
+    assert capped.iterations == 5
+    assert capped.prox_iterations == capped.prox_unconverged == 5
+    free = fbs_solve(H, y, L, 0.0, np.zeros((4, 4)), 1,
+                     SolverConfig(k_fbs=5), X)
+    assert free.prox_iterations == free.prox_unconverged == 0

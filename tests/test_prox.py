@@ -4,9 +4,10 @@ import pytest
 from mmrsafi.core import Rng
 from mmrsafi.linops import (ConvStage, FilterBank, dense_matrix_of,
                             difference_bank)
-from mmrsafi.oracle import admm_prox_oracle, finite_diff_gradient
-from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                          dual_gradient, prox_weighted_l1)
+from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
+from mmrsafi.prox import (_NORM_DEFLATION, _ROUNDOFF_FLOOR, ConstraintSet,
+                          ProxConfig, WeightedAnalysisOperator, dual_gradient,
+                          prox_weighted_l1)
 
 TIGHT = ProxConfig(max_iters=20000, epsilon=1e-13)
 
@@ -187,3 +188,94 @@ def test_nonfinite_input_rejected():
     with pytest.raises(ValueError):
         prox_weighted_l1(np.zeros((1, 3)), L, 0.0,
                          ConstraintSet.all_space(), TIGHT)
+
+
+class CountingOperator:
+    """Delegates to a weighted operator and counts forward/adjoint calls."""
+
+    def __init__(self, L):
+        self.L = L
+        self.weights = L.weights
+        self.forward_calls = 0
+        self.adjoint_calls = 0
+
+    def forward(self, x):
+        self.forward_calls += 1
+        return self.L.forward(x)
+
+    def adjoint(self, u):
+        self.adjoint_calls += 1
+        return self.L.adjoint(u)
+
+    def norm_estimate(self):
+        return self.L.norm_estimate()
+
+
+def two_adjoint_prox(z, L, gamma, X, cfg):
+    """The dual iteration with L^T applied to v and to u_{k+1} separately;
+    returns (x, iterations)."""
+    alpha = _NORM_DEFLATION / L.norm_estimate() ** 2
+    floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
+    u = v = L.forward(z)
+    x = X.project(z - L.adjoint(u))
+    t = 1.0
+    for k in range(1, cfg.max_iters + 1):
+        u_next = np.clip(v + alpha * dual_gradient(L, X, z, v), -gamma, gamma)
+        t_next = (k + 5.0) / 3.0
+        v = u_next + ((t - 1.0) / t_next) * (u_next - u)
+        x_next = X.project(z - L.adjoint(u_next))
+        diff = np.linalg.norm(x_next - x)
+        done = diff < cfg.epsilon * np.linalg.norm(x) or diff <= floor
+        u, t, x = u_next, t_next, x_next
+        if done:
+            return x, k
+    return x, cfg.max_iters
+
+
+def test_one_forward_and_one_adjoint_per_iteration():
+    rng = Rng(14)
+    L = CountingOperator(weighted_difference(rng, (8, 8)))
+    z = rng.gaussian_array((8, 8))
+    X = ConstraintSet.box(0.0, 1.0)
+    cold = prox_weighted_l1(z, L, 0.3, X, TIGHT)
+    assert cold.converged
+    assert L.forward_calls == L.adjoint_calls == cold.iterations + 1
+    L.forward_calls = L.adjoint_calls = 0
+    warm = prox_weighted_l1(z + 1e-3, L, 0.3, X, TIGHT, warm_u=cold.dual)
+    assert warm.converged
+    assert L.forward_calls == warm.iterations
+    assert L.adjoint_calls == warm.iterations + 1
+
+
+def test_matches_two_adjoint_iteration():
+    rng = Rng(15)
+    bank = difference_bank()
+    cfg = ProxConfig(max_iters=20000, epsilon=1e-11)
+    for trial in range(20):
+        z = rng.gaussian_array((8, 8))
+        L = WeightedAnalysisOperator(bank, rng.uniform_array((2, 8, 8)))
+        gamma = (0.05, 0.3, 1.0)[trial % 3]
+        X = (ConstraintSet.all_space(),
+             ConstraintSet.box(0.0, 1.0))[trial % 2]
+        res = prox_weighted_l1(z, L, gamma, X, cfg)
+        x_ref, iters_ref = two_adjoint_prox(z, L, gamma, X, cfg)
+        assert res.iterations == iters_ref
+        assert np.max(np.abs(res.x - x_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1e-5, 0.0])
+def test_flat_solution_near_zero_converges(mean):
+    # gamma = 1 flattens z to its mean: x_k then changes by roundoff only,
+    # which the relative rule cannot see when the mean is near 0.
+    bank = difference_bank()
+    L = WeightedAnalysisOperator(bank, np.ones((2, 8, 8)))
+    L_dense = dense_matrix_of(L.forward, (8, 8))
+    X = ConstraintSet.all_space()
+    for seed in (14, 16, 17):
+        z = Rng(seed).gaussian_array((8, 8))
+        z = z - z.mean() + mean
+        res = prox_weighted_l1(z, L, 1.0, X, TIGHT)
+        assert res.converged and res.iterations < 1000
+        ref = admm_prox_oracle(z, L_dense, 1.0, X,
+                               AdmmConfig(rho=3.0, iters=60000))
+        assert np.max(np.abs(res.x.ravel() - ref)) < 1e-10

@@ -4,14 +4,15 @@ import pytest
 from helpers import random_mmr_model, random_safi_model
 from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import SolverConfig
-from mmrsafi.forward import IdentityOp, add_noise
+from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
+                             make_cartesian_mask)
 from mmrsafi.linops import dense_matrix_of
 from mmrsafi.oracle import finite_diff_gradient
 from mmrsafi.phantom import make_phantom
-from mmrsafi.schemes import (build_weighted_operator, default_safi_model,
-                             default_tv_model, eval_majorization,
-                             eval_objective, mask_mmr, mask_safi, run_cvx,
-                             run_mmr, run_safi)
+from mmrsafi.prox import WeightedAnalysisOperator
+from mmrsafi.schemes import (default_safi_model, default_tv_model,
+                             eval_majorization, eval_objective, mask_mmr,
+                             mask_safi, run_cvx, run_mmr, run_safi)
 from mmrsafi.splines import (ConcavePotential, HalfLineSpline, LinearSpline,
                              SigmoidSpline)
 
@@ -88,13 +89,13 @@ def test_weighted_operator_adjoint_and_extremes():
     rng = Rng(6)
     model = random_mmr_model(rng)
     mask = rng.uniform_array((2, 8, 8))
-    L = build_weighted_operator(model.W, mask)
+    L = WeightedAnalysisOperator(model.W, mask)
     A = dense_matrix_of(L.forward, (8, 8))
     x = rng.gaussian_array((8, 8))
     u = rng.gaussian_array((2, 8, 8))
     assert np.max(np.abs(L.forward(x).ravel() - A @ x.ravel())) < 1e-12
     assert np.max(np.abs(L.adjoint(u).ravel() - A.T @ u.ravel())) < 1e-10
-    ones = build_weighted_operator(model.W, np.ones((2, 8, 8)))
+    ones = WeightedAnalysisOperator(model.W, np.ones((2, 8, 8)))
     assert np.allclose(ones.forward(x), model.W.forward(x))
 
 
@@ -283,3 +284,23 @@ def test_trace_psnr_recorded():
                        SolverConfig(k_out=3), reference=phantom)
     assert len(trace.psnrs) == len(trace.residuals)
     assert all(np.isfinite(p) for p in trace.psnrs)
+
+
+def test_trace_reports_inner_solves():
+    phantom = make_phantom(16, seed=4)
+    H = MaskedDftOp(make_cartesian_mask(16, 4, 0.1, Rng(9)), 16, 16)
+    y = H.forward(phantom)
+    cfg = SolverConfig(k_out=3, k_fbs=3, k_prox=50, lam=1e-3)
+    for run in (run_mmr, run_safi):
+        model = default_tv_model() if run is run_mmr else default_safi_model()
+        _, trace = run(model, H, y, cfg)
+        steps = len(trace.residuals)
+        assert trace.fbs_iterations == [3] * steps
+        assert trace.fbs_converged == [False] * steps
+        assert len(trace.prox_iterations) == len(trace.prox_unconverged) == steps
+        assert all(3 <= n <= 3 * 50 for n in trace.prox_iterations)
+        assert all(0 <= n <= 3 for n in trace.prox_unconverged)
+    _, trace = run_cvx(default_tv_model(), IdentityOp(), add_noise(
+        phantom, 0.05, Rng(20)), SolverConfig())
+    assert trace.fbs_iterations == [1] and trace.fbs_converged == [True]
+    assert trace.prox_unconverged == [0] and trace.prox_iterations[0] >= 1
