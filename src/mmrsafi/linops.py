@@ -5,8 +5,9 @@ boundaries keep adjoints exact, make zero-mean kernels annihilate constants,
 and give positive-normalized kernels exact row and column sums of one.
 Stages with few nonzero taps per channel are applied directly as periodic
 stencils; dense multi-channel stages go through FFT multipliers cached per
-image shape.  A direct dense materialization is available for oracle-scale
-checks.
+image shape.  Periodic banks are block-circulant, so their spectral norm is
+exact from one impulse response per input channel.  A direct dense
+materialization is available for oracle-scale checks.
 """
 
 from dataclasses import dataclass
@@ -90,6 +91,7 @@ class FilterBank:
         self.stages = tuple(fixed)
         self.constraint = constraint
         self._appliers = tuple(_applier(st) for st in self.stages)
+        self._norms = {}
 
     @property
     def in_channels(self):
@@ -125,6 +127,29 @@ class FilterBank:
         if self.in_channels == 1:
             out = out[0]
         return out
+
+    def norm(self, shape):
+        """Exact ||W||_2 on periodic images of this shape, cached per shape.
+
+        Every stage is circulant, so the DFT splits W into one
+        (out_channels, in_channels) matrix per frequency, whose entries are
+        the spectra of the impulse responses; ||W|| is the largest singular
+        value of these matrices over all frequencies.
+        """
+        shape = tuple(shape)
+        if shape not in self._norms:
+            c_in = self.in_channels
+            deltas = np.zeros((c_in, c_in) + shape)
+            deltas[np.arange(c_in), np.arange(c_in), 0, 0] = 1.0
+            # Real responses: frequencies -w and w give conjugate matrices
+            # with equal singular values, so the half spectrum suffices.
+            spec = np.fft.rfft2(np.stack([self.forward(d) for d in deltas]))
+            # With one input channel each matrix is a column, whose singular
+            # value is its Euclidean norm; this skips a batched SVD.
+            sv = (np.linalg.norm(spec[0], axis=0) if c_in == 1
+                  else np.linalg.norm(spec, 2, axis=(0, 1)))
+            self._norms[shape] = float(sv.max())
+        return self._norms[shape]
 
 
 # Direct stencils cost one array operation per nonzero tap; FFT multipliers
@@ -243,7 +268,7 @@ class MatrixOp:
         self.in_shape = tuple(in_shape)
         if self.matrix.shape[1] != int(np.prod(in_shape)):
             raise ValueError("matrix columns do not match input size")
-        self.norm = None          # estimated by the solver
+        self.norm = float(np.linalg.norm(self.matrix, 2))
         self.sigma_min = sigma_min
         self.kind = "dense"
 

@@ -7,7 +7,6 @@ by integrating the clipped splines.
 """
 
 import numpy as np
-from scipy.special import expit
 
 
 def clip(a, k1, k2):
@@ -174,4 +173,8 @@ class SigmoidSpline:
         self.base = base
 
     def __call__(self, x):
-        return expit(self.base(x))
+        # Logistic evaluated on -|u|, so exp cannot overflow.
+        u = np.asarray(self.base(x), dtype=np.float64)
+        e = np.exp(-np.abs(u))
+        out = np.where(u >= 0, 1.0, e) / (1.0 + e)
+        return out if out.ndim else float(out)

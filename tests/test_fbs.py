@@ -133,7 +133,7 @@ def test_prox_grad_fixed_point_residual():
                     ConstraintSet.all_space())
     from mmrsafi.prox import ProxConfig, prox_weighted_l1
     from mmrsafi.fbs import _step_size
-    alpha = _step_size(H, (4, 4))
+    alpha = _step_size(H)
     z = res.x - alpha * H.adjoint(H.forward(res.x) - y)
     again = prox_weighted_l1(z, L, alpha * 0.1, ConstraintSet.all_space(),
                              ProxConfig(max_iters=20000, epsilon=1e-13)).x

@@ -201,3 +201,40 @@ def test_bank_linearity():
     lhs = bank.forward(2.0 * x1 - 3.0 * x2)
     rhs = 2.0 * bank.forward(x1) - 3.0 * bank.forward(x2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def norm_test_banks():
+    rng = Rng(29)
+    return {
+        "difference": difference_bank(),
+        "box": box_bank(2, size=3),
+        "mix-1x1": FilterBank([ConvStage(rng.gaussian_array((3, 1, 1, 1)), 1)]),
+        "two-stage": FilterBank([ConvStage(rng.gaussian_array((2, 1, 3, 3)), 1),
+                                 ConvStage(rng.gaussian_array((2, 2, 3, 3)), 1)]),
+        "c_in-3": FilterBank([ConvStage(rng.gaussian_array((3, 1, 3, 3)), 3),
+                              ConvStage(rng.gaussian_array((2, 3, 1, 1)), 1)]),
+        "fft-7x7": FilterBank([ConvStage(rng.gaussian_array((3, 1, 7, 7)), 1)]),
+    }
+
+
+# 3x3 kernels are wider than the 1x4 image, 7x7 ones than all but 8x8.
+@pytest.mark.parametrize("shape", [(8, 8), (3, 3), (1, 4), (5, 9)],
+                         ids=["8x8", "3x3", "1x4", "5x9"])
+def test_bank_norm_matches_dense_svd(shape):
+    banks = norm_test_banks()
+    assert all(type(app) is _SpectralStage
+               for app in banks["fft-7x7"]._appliers)
+    for name, bank in banks.items():
+        in_shape = shape if bank.in_channels == 1 else (bank.in_channels,) + shape
+        exact = np.linalg.norm(dense_matrix_of(bank.forward, in_shape), 2)
+        norm = bank.norm(shape)
+        assert abs(norm - exact) < 1e-12, name
+        bank.forward = None     # the cached value needs no further bank call
+        assert bank.norm(list(shape)) == norm
+
+
+def test_matrix_op_norm_is_exact():
+    A = Rng(31).gaussian_array((12, 12))
+    assert MatrixOp(A, (12,)).norm == pytest.approx(jacobi_svd_norm(A),
+                                                    abs=1e-12)
+

@@ -5,9 +5,12 @@ from mmrsafi.core import Rng
 from mmrsafi.linops import (ConvStage, FilterBank, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
-from mmrsafi.prox import (_NORM_DEFLATION, _ROUNDOFF_FLOOR, ConstraintSet,
-                          ProxConfig, WeightedAnalysisOperator, dual_gradient,
+from mmrsafi.phantom import make_phantom
+from mmrsafi.prox import (_ROUNDOFF_FLOOR, ConstraintSet, ProxConfig,
+                          WeightedAnalysisOperator, dual_gradient,
                           prox_weighted_l1)
+from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
+                             mask_safi)
 
 TIGHT = ProxConfig(max_iters=20000, epsilon=1e-13)
 
@@ -207,14 +210,14 @@ class CountingOperator:
         self.adjoint_calls += 1
         return self.L.adjoint(u)
 
-    def norm_estimate(self):
-        return self.L.norm_estimate()
+    def norm_bound(self):
+        return self.L.norm_bound()
 
 
 def two_adjoint_prox(z, L, gamma, X, cfg):
     """The dual iteration with L^T applied to v and to u_{k+1} separately;
     returns (x, iterations)."""
-    alpha = _NORM_DEFLATION / L.norm_estimate() ** 2
+    alpha = 1.0 / L.norm_bound() ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
     u = v = L.forward(z)
     x = X.project(z - L.adjoint(u))
@@ -279,3 +282,42 @@ def test_flat_solution_near_zero_converges(mean):
         ref = admm_prox_oracle(z, L_dense, 1.0, X,
                                AdmmConfig(rho=3.0, iters=60000))
         assert np.max(np.abs(res.x.ravel() - ref)) < 1e-10
+
+
+
+def step_mask(kind, size):
+    rng = Rng(size)
+    x = make_phantom(size=size) + 0.1 * rng.gaussian_array((size, size))
+    if kind == "ones":
+        return np.ones((2, size, size))
+    if kind == "mmr":
+        return mask_mmr(default_tv_model(), x)
+    if kind == "safi":
+        return mask_safi(default_safi_model(), x)
+    return rng.uniform_array((2, size, size))
+
+
+def dual_step_taken(L, z):
+    """The step of the solver's first dual iteration, read off its result.
+
+    From u_0 = L z, with gamma too large for any clipping and X = R^N, the
+    first iterate is u_1 = u_0 + alpha * L(z - L^T u_0).
+    """
+    u0 = L.forward(z)
+    g = L.forward(z - L.adjoint(u0))
+    res = prox_weighted_l1(z, L, 1e6, ConstraintSet.all_space(),
+                           ProxConfig(max_iters=1))
+    return np.sum((res.dual - u0) * g) / np.sum(g * g)
+
+
+@pytest.mark.parametrize("size", [8, 16])
+@pytest.mark.parametrize("kind", ["ones", "mmr", "safi", "uniform"])
+def test_dual_step_within_inverse_squared_norm(kind, size):
+    L = WeightedAnalysisOperator(difference_bank(), step_mask(kind, size))
+    exact = np.linalg.norm(dense_matrix_of(L.forward, (size, size)), 2)
+    z = Rng(3 * size).gaussian_array((size, size))
+    alpha = dual_step_taken(L, z)
+    assert alpha == pytest.approx(1.0 / L.norm_bound() ** 2, rel=1e-12)
+    # Roundoff in the exact norms and in reading the step off is ~1e-15.
+    assert alpha * exact ** 2 <= 1.0 + 1e-12
+

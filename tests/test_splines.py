@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+import mmrsafi
 from mmrsafi.core import Rng
 from mmrsafi.splines import (ConcavePotential, HalfLineSpline, LinearSpline,
                              SigmoidSpline, clip, project_nonincreasing)
@@ -134,3 +141,24 @@ def test_sigmoid_spline():
     assert big(0.0) == pytest.approx(1.0, abs=1e-12)
     ident = SigmoidSpline(LinearSpline(0.1, 0.1 * np.arange(-10, 11)))
     assert ident(0.1) == pytest.approx(expit(0.1), abs=1e-12)
+
+
+
+def test_sigmoid_spline_matches_expit_without_overflow():
+    ident = SigmoidSpline(LinearSpline(1.0, np.arange(-3.0, 4.0)))
+    x = np.concatenate((np.linspace(-800.0, 800.0, 160001),
+                        [0.0, -0.0, 1e-300, -1e-300, 709.8, -745.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = ident(x)
+    assert np.max(np.abs(out - expit(x))) <= 3e-16
+
+
+def test_package_import_leaves_out_scipy():
+    src = str(Path(mmrsafi.__file__).resolve().parents[1])
+    code = "import sys, mmrsafi; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
