@@ -13,6 +13,6 @@ from .schemes import (MmrModel, SafiModel, SchemeTrace, default_safi_model,
                       default_tv_model, eval_majorization, eval_objective,
                       mask_mmr, mask_safi, run_cvx, run_mmr, run_safi)
 from .splines import (ConcavePotential, HalfLineSpline, LinearSpline,
-                      SigmoidSpline, clip, project_nonincreasing)
+                      SigmoidSpline, project_nonincreasing)
 
 __version__ = "0.1.0"

@@ -79,8 +79,10 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     """Accelerated proximal gradient for one reweighted convex problem.
 
     With H = Id a single step returns prox_{lam*||L.||_1}(y) exactly, so the
-    loop is cut short.  The dual of the last prox call is returned for
-    warm-starting the next solve.
+    loop is cut short.  The gradient is H^T H x - H^T y, with H^T y formed
+    once per solve.  L is fixed within the solve, so each prox call passes
+    its dual and the dual's adjoint L^T u on to the next call.  The dual of
+    the last prox call is returned for warm-starting the next solve.
     """
     x = np.asarray(x_init, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -92,10 +94,11 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
 
     x_tilde = x
     t = 1.0
-    dual = warm_u
+    dual, dual_adjoint = warm_u, None
+    h_adj_y = H.adjoint(y)
     prox_iters = prox_unconverged = 0
     for k in range(1, max_iter + 1):
-        grad = H.adjoint(H.forward(x_tilde) - y)
+        grad = H.normal(x_tilde) - h_adj_y
         z = x_tilde - alpha * grad
         if lam > 0.0:
             if cfg.eps_prox is not None:
@@ -107,8 +110,8 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
             pres = prox_weighted_l1(
                 z, L, alpha * lam, X,
                 ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
-                warm_u=dual)
-            x_next, dual = pres.x, pres.dual
+                warm_u=dual, warm_adjoint=dual_adjoint)
+            x_next, dual, dual_adjoint = pres.x, pres.dual, pres.dual_adjoint
             prox_iters += pres.iterations
             prox_unconverged += not pres.converged
         else:

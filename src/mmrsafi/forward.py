@@ -2,7 +2,9 @@
 
 The DFT uses the orthonormal convention so that the masked operator has unit
 spectral norm and the gradient step 1/||H||^2 is exactly one.  Complex
-measurements are stored as real pairs (..., 2); images stay real.
+measurements are stored as real pairs (..., 2); images stay real.  Each
+operator also applies its normal map H^T H directly, which is what the FBS
+gradient needs.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ class IdentityOp:
 
     kind = "identity"
     norm = 1.0
-    sigma_min = 1.0
 
     def forward(self, x):
         return np.array(x, dtype=np.float64)
@@ -21,19 +22,25 @@ class IdentityOp:
     def adjoint(self, y):
         return np.array(y, dtype=np.float64)
 
+    def normal(self, x):
+        return np.array(x, dtype=np.float64)
+
 
 class MaskedDftOp:
     """Single-coil Cartesian undersampling: orthonormal 2-D DFT, kept columns.
 
     Mask indices refer to centered (fftshifted) k-space, so a central block
     covers the low horizontal frequencies.  Power-of-two image dimensions are
-    required.  The rows of H are orthonormal, so ||H|| = 1; sigma_min is
-    flagged as 0 (not invertible).
+    required.  The rows of H are orthonormal, so ||H|| = 1.
+
+    On real images H^T H = I (x) Re(F^H P F): the DFT along the image's
+    columns cancels, and along each row Re(F^H P F) = F^H S F, where P keeps
+    the measured frequencies and S is the real, even multiplier
+    (1_P(f) + 1_P(-f)) / 2.  normal() applies it with one real FFT pair.
     """
 
     kind = "masked-dft"
     norm = 1.0
-    sigma_min = 0.0
 
     def __init__(self, column_mask, height, width):
         column_mask = np.asarray(column_mask, dtype=bool)
@@ -48,6 +55,11 @@ class MaskedDftOp:
         self.width = width
         # Centered mask index -> unshifted DFT column.
         self.columns = np.fft.ifftshift(np.arange(width))[np.flatnonzero(column_mask)]
+        kept = np.zeros(width)
+        kept[self.columns] = 1.0
+        # Half spectrum f = 0..width/2 of (1_P(f) + 1_P(-f)) / 2.
+        half = np.arange(width // 2 + 1)
+        self._normal_multiplier = 0.5 * (kept[half] + kept[-half % width])
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -63,6 +75,14 @@ class MaskedDftOp:
         full = np.zeros((self.height, self.width), dtype=np.complex128)
         full[:, self.columns] = y[..., 0] + 1j * y[..., 1]
         return np.fft.ifft2(full, norm="ortho").real
+
+    def normal(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.height, self.width):
+            raise ValueError("image shape does not match operator")
+        spec = np.fft.rfft(x, axis=1)
+        spec *= self._normal_multiplier
+        return np.fft.irfft(spec, n=self.width, axis=1)
 
 
 def make_cartesian_mask(width, acc, center_fraction, rng):

@@ -180,8 +180,72 @@ def _wrap_index(h, w, r):
 
 
 def _wrap_pad(x, r):
+    """Periodic padding by r on every side of each channel of x."""
     c, h, w = x.shape
-    return np.take(x.reshape(c, h * w), _wrap_index(h, w, r), axis=1)
+    if r > h or r > w:
+        # The pad wraps around the image more than once.
+        return np.take(x.reshape(c, h * w), _wrap_index(h, w, r), axis=1)
+    xp = np.empty((c, h + 2 * r, w + 2 * r))
+    xp[:, r:r + h, r:r + w] = x
+    if r:
+        xp[:, r:r + h, :r] = x[:, :, w - r:]
+        xp[:, r:r + h, r + w:] = x[:, :, :r]
+        xp[:, :r] = xp[:, h:h + r]
+        xp[:, r + h:] = xp[:, r:2 * r]
+    return xp
+
+
+def _tap_plan(taps, channels):
+    """Group (target, source, row, col, weight) taps by target channel.
+
+    Returns one list per target channel of (source, row, col, weight) in
+    the given summation order.  When the first two taps are +-1 of opposite
+    signs they are merged into one entry (source, row, col, source2, row2,
+    col2) meaning "first minus second".
+    """
+    plan = [[] for _ in range(channels)]
+    for target, src, a, b, v in taps:
+        plan[target].append((src, a, b, v))
+    for ops in plan:
+        if len(ops) >= 2 and {ops[0][3], ops[1][3]} == {-1.0, 1.0}:
+            pos, neg = ops[:2] if ops[0][3] == 1.0 else ops[1::-1]
+            ops[:2] = [pos[:3] + neg[:3]]
+    return plan
+
+
+def _apply_plan(plan, xp, h, w):
+    """out[c] = sum over plan[c] of weight * xp[source, row:+h, col:+w].
+
+    Equals the sum started from 0 and taken in plan order, up to the sign
+    of zero: +-1 taps are added or subtracted without a product.
+    """
+    out = np.empty((len(plan), h, w))
+    tmp = None
+    for acc, ops in zip(out, plan):
+        if not ops:
+            acc.fill(0.0)
+        for n, op in enumerate(ops):
+            s = xp[op[0], op[1]:op[1] + h, op[2]:op[2] + w]
+            if len(op) == 6:
+                np.subtract(s, xp[op[3], op[4]:op[4] + h, op[5]:op[5] + w],
+                            out=acc)
+            elif n == 0:
+                if op[3] == 1.0:
+                    np.copyto(acc, s)
+                elif op[3] == -1.0:
+                    np.negative(s, out=acc)
+                else:
+                    np.multiply(s, op[3], out=acc)
+            elif op[3] == 1.0:
+                np.add(acc, s, out=acc)
+            elif op[3] == -1.0:
+                np.subtract(acc, s, out=acc)
+            else:
+                if tmp is None:
+                    tmp = np.empty((h, w))
+                np.multiply(s, op[3], out=tmp)
+                np.add(acc, tmp, out=acc)
+    return out
 
 
 class _StencilStage:
@@ -190,33 +254,25 @@ class _StencilStage:
     def __init__(self, stage):
         c_out, c_in_pg, ks, _ = stage.kernels.shape
         per_group = c_out // stage.groups
-        self.c_in = stage.c_in
-        self.c_out = c_out
-        self.r = ks // 2
+        self.r = r = ks // 2
         # (out channel, in channel, row, col, weight); row and col are the
         # slice offsets into the padded input of the forward map.
-        self.taps = [
-            (o, (o // per_group) * c_in_pg + i, a, b,
-             float(stage.kernels[o, i, a, b]))
-            for o, i, a, b in np.argwhere(stage.kernels).tolist()]
+        taps = [(o, (o // per_group) * c_in_pg + i, a, b,
+                 float(stage.kernels[o, i, a, b]))
+                for o, i, a, b in np.argwhere(stage.kernels).tolist()]
+        self._forward_plan = _tap_plan(taps, c_out)
+        # The adjoint correlates with the flipped taps, channels transposed.
+        self._adjoint_plan = _tap_plan(
+            [(i, o, 2 * r - a, 2 * r - b, v) for o, i, a, b, v in taps],
+            stage.c_in)
 
     def forward(self, x):
-        h, w = x.shape[1:]
-        xp = _wrap_pad(x, self.r)
-        out = np.zeros((self.c_out, h, w))
-        for o, i, a, b, v in self.taps:
-            out[o] += v * xp[i, a:a + h, b:b + w]
-        return out
+        return _apply_plan(self._forward_plan, _wrap_pad(x, self.r),
+                           *x.shape[1:])
 
     def adjoint(self, y):
-        # Correlation with the flipped taps, channels transposed.
-        h, w = y.shape[1:]
-        yp = _wrap_pad(y, self.r)
-        d = 2 * self.r
-        out = np.zeros((self.c_in, h, w))
-        for o, i, a, b, v in self.taps:
-            out[i] += v * yp[o, d - a:d - a + h, d - b:d - b + w]
-        return out
+        return _apply_plan(self._adjoint_plan, _wrap_pad(y, self.r),
+                           *y.shape[1:])
 
 
 class _SpectralStage:
@@ -263,13 +319,12 @@ class _SpectralStage:
 class MatrixOp:
     """Dense matrix as a forward operator on flattened images (test scale)."""
 
-    def __init__(self, matrix, in_shape, sigma_min=None):
+    def __init__(self, matrix, in_shape):
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.in_shape = tuple(in_shape)
         if self.matrix.shape[1] != int(np.prod(in_shape)):
             raise ValueError("matrix columns do not match input size")
         self.norm = float(np.linalg.norm(self.matrix, 2))
-        self.sigma_min = sigma_min
         self.kind = "dense"
 
     def forward(self, x):
@@ -278,6 +333,9 @@ class MatrixOp:
     def adjoint(self, y):
         return (self.matrix.T @ np.asarray(y, dtype=np.float64).ravel()).reshape(
             self.in_shape)
+
+    def normal(self, x):
+        return self.adjoint(self.forward(x))
 
 
 def operator_norm(forward, adjoint, in_shape, iters=100, rng=None):

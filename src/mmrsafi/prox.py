@@ -102,6 +102,7 @@ class ProxResult:
     dual: np.ndarray
     iterations: int
     converged: bool
+    dual_adjoint: np.ndarray   # L^T dual, for a warm start with the same L
 
 
 def dual_gradient(L, X, z, u):
@@ -109,7 +110,13 @@ def dual_gradient(L, X, z, u):
     return L.forward(X.project(z - L.adjoint(u)))
 
 
-def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
+def _project_into(X, r):
+    """r <- Proj_X(r), in place."""
+    if not X.is_all_space:
+        np.clip(r, X.lower, X.upper, out=r)
+
+
+def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
@@ -121,7 +128,11 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
     linearity, a_{k+1} + beta_k (a_{k+1} - a_k).  One L and one L^T call
     per iteration; a_{k+1} is computed fresh from u_{k+1}, so no error
-    builds up.
+    builds up.  warm_adjoint, when given, must be L^T warm_u for this same
+    L (the dual_adjoint of an earlier result); it saves the opening L^T.
+
+    The iteration's own arrays are preallocated and updated in place; z,
+    warm_u, warm_adjoint and the arrays of earlier results are only read.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -135,29 +146,51 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     elif bound ** 2 < 1e-30:
         # L vanishes: the penalty is zero and the prox is the projection.
         x = X.project(z)
-        return ProxResult(x, np.zeros_like(L.weights), 0, True)
+        return ProxResult(x, np.zeros_like(L.weights), 0, True,
+                          np.zeros_like(z))
     else:
         alpha = 1.0 / bound ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
 
-    u = L.forward(z) if warm_u is None else np.asarray(warm_u, dtype=np.float64)
-    a = L.adjoint(u)
-    v, a_v = u, a
-    x = X.project(z - a)
+    if warm_u is None:
+        u = L.forward(z)
+        a = L.adjoint(u)
+    else:
+        u = np.asarray(warm_u, dtype=np.float64)
+        a = L.adjoint(u) if warm_adjoint is None else warm_adjoint
+    # Preallocated iteration arrays.  u_next takes over the buffer of the
+    # u before it, which is free once v is formed, except in the first
+    # iteration: the u there may be warm_u.
+    u_next, v = np.empty_like(u), np.empty_like(u)
+    x, x_next, r, a_v, delta = (np.empty_like(z) for _ in range(5))
+    np.subtract(z, a, out=x)
+    _project_into(X, x)
+    v[...] = u
+    a_v[...] = a
     t = 1.0
     for k in range(1, cfg.max_iters + 1):
         # v + alpha * dual_gradient(L, X, z, v), with L^T v already known.
-        u_next = np.clip(v + alpha * L.forward(X.project(z - a_v)),
-                         -gamma, gamma)
+        np.subtract(z, a_v, out=r)
+        _project_into(X, r)
+        np.multiply(L.forward(r), alpha, out=u_next)
+        np.add(v, u_next, out=u_next)
+        np.clip(u_next, -gamma, gamma, out=u_next)
         a_next = L.adjoint(u_next)
         t_next = (k + 5.0) / 3.0
         beta = (t - 1.0) / t_next
-        v = u_next + beta * (u_next - u)
-        a_v = a_next + beta * (a_next - a)
-        x_next = X.project(z - a_next)
-        diff = np.linalg.norm(x_next - x)
+        np.subtract(u_next, u, out=v)
+        np.multiply(v, beta, out=v)
+        np.add(u_next, v, out=v)
+        np.subtract(a_next, a, out=a_v)
+        np.multiply(a_v, beta, out=a_v)
+        np.add(a_next, a_v, out=a_v)
+        np.subtract(z, a_next, out=x_next)
+        _project_into(X, x_next)
+        np.subtract(x_next, x, out=delta)
+        diff = np.linalg.norm(delta)
         done = diff < cfg.epsilon * np.linalg.norm(x) or diff <= floor
-        u, a, t, x = u_next, a_next, t_next, x_next
-        if done:
-            return ProxResult(x, u, k, True)
-    return ProxResult(x, u, cfg.max_iters, False)
+        if done or k == cfg.max_iters:
+            return ProxResult(x_next, u_next, k, bool(done), a_next)
+        u, u_next = u_next, (np.empty_like(u) if k == 1 else u)
+        a, t = a_next, t_next
+        x, x_next = x_next, x

@@ -9,13 +9,6 @@ by integrating the clipped splines.
 import numpy as np
 
 
-def clip(a, k1, k2):
-    """Component-wise saturation to [k1, k2]."""
-    if k1 > k2:
-        raise ValueError(f"empty clip interval [{k1}, {k2}]")
-    return np.clip(a, k1, k2)
-
-
 class LinearSpline:
     """Piecewise-linear function on the uniform symmetric grid -M*delta..M*delta.
 

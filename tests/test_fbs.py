@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from mmrsafi import fbs
 from mmrsafi.core import Rng
 from mmrsafi.fbs import (NumericalError, SolverConfig, fbs_solve,
                          momentum_next, tol_fbs, tol_prox)
-from mmrsafi.forward import IdentityOp
+from mmrsafi.forward import IdentityOp, MaskedDftOp, make_cartesian_mask
+from mmrsafi.phantom import make_phantom
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import admm_full_oracle
-from mmrsafi.prox import ConstraintSet, WeightedAnalysisOperator
+from mmrsafi.prox import (ConstraintSet, WeightedAnalysisOperator,
+                          prox_weighted_l1)
 
 
 def ones_difference(shape):
@@ -171,3 +174,58 @@ def test_prox_counts_summed_over_inner_calls():
     free = fbs_solve(H, y, L, 0.0, np.zeros((4, 4)), 1,
                      SolverConfig(k_fbs=5), X)
     assert free.prox_iterations == free.prox_unconverged == 0
+
+
+class Counting:
+    """Delegates to an operator and counts calls by method name."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = {}
+
+    def __getattr__(self, name):
+        attr = getattr(self.op, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def masked_dft_problem():
+    phantom = make_phantom(16, seed=4)
+    H = MaskedDftOp(make_cartesian_mask(16, 4, 0.1, Rng(9)), 16, 16)
+    y = H.forward(phantom) + 1e-3 * Rng(10).gaussian_array((16, 4, 2))
+    L = WeightedAnalysisOperator(difference_bank(),
+                                 0.5 + Rng(11).uniform_array((2, 16, 16)))
+    return H, y, L
+
+
+def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
+    H, y, L = masked_dft_problem()
+    cfg = SolverConfig(k_fbs=40, k_prox=50, lam=1e-2)
+    X = ConstraintSet.box(0.0, 1.0)
+    warm_u = fbs_solve(H, y, L, 1e-2, np.zeros((16, 16)), 1, cfg, X).dual
+    counted_H, counted_L = Counting(H), Counting(L)
+    res = fbs_solve(counted_H, y, counted_L, 1e-2, np.zeros((16, 16)), 2,
+                    cfg, X, warm_u=warm_u)
+    assert res.iterations == 40 and res.prox_iterations > 40
+    assert counted_L.calls["adjoint"] == res.prox_iterations + 1
+    assert counted_L.calls["forward"] == res.prox_iterations
+    assert counted_H.calls == {"adjoint": 1, "normal": 40}
+
+    # The same solve with L^T u recomputed at every warm start.
+    def recomputing(*args, warm_adjoint=None, **kwargs):
+        return prox_weighted_l1(*args, **kwargs)
+
+    monkeypatch.setattr(fbs, "prox_weighted_l1", recomputing)
+    counted_L = Counting(L)
+    ref = fbs_solve(H, y, counted_L, 1e-2, np.zeros((16, 16)), 2, cfg, X,
+                    warm_u=warm_u)
+    assert counted_L.calls["adjoint"] == ref.prox_iterations + 40
+    assert ref.prox_iterations == res.prox_iterations
+    assert np.array_equal(ref.x, res.x)
+    assert np.array_equal(ref.dual, res.dual)
+

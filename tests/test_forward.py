@@ -5,7 +5,7 @@ from mmrsafi.core import Rng
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask, read_mask_file,
                              write_mask_file)
-from mmrsafi.linops import operator_norm
+from mmrsafi.linops import MatrixOp, operator_norm
 
 
 def full_dft_op(n=8):
@@ -17,7 +17,41 @@ def test_identity_roundtrip():
     H = IdentityOp()
     assert np.array_equal(H.forward(x), x)
     assert np.array_equal(H.adjoint(x), x)
-    assert H.norm == 1.0 and H.sigma_min == 1.0
+    assert H.norm == 1.0
+
+
+def normal_test_masks(n):
+    """Centered column masks: DC and Nyquist kept with unpaired columns
+    (whose mirror frequency is dropped), a random Cartesian mask and the
+    full mask."""
+    mask = np.zeros(n, dtype=bool)
+    mask[[0, 1, n // 2, n // 2 + 1]] = True   # Nyquist, 1-n/2, DC, 1
+    return [mask, make_cartesian_mask(n, 4, 0.1, Rng(n)),
+            np.ones(n, dtype=bool)]
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_normal_matches_operator_pair(n):
+    rng = Rng(40 + n)
+    for mask in normal_test_masks(n):
+        H = MaskedDftOp(mask, n, n)
+        for _ in range(3):
+            x = rng.gaussian_array((n, n))
+            ref = H.adjoint(H.forward(x))
+            assert np.max(np.abs(H.normal(x) - ref)) <= 1e-13
+    with pytest.raises(ValueError):
+        H.normal(np.zeros((n, n + 1)))
+
+
+def test_identity_and_matrix_normal():
+    rng = Rng(41)
+    x = rng.gaussian_array((4, 4))
+    out = IdentityOp().normal(x)
+    assert np.array_equal(out, x) and out is not x
+    A = rng.gaussian_array((10, 16))
+    H = MatrixOp(A, (4, 4))
+    assert np.array_equal(H.normal(x), H.adjoint(H.forward(x)))
+    assert np.max(np.abs(H.normal(x).ravel() - A.T @ A @ x.ravel())) < 1e-12
 
 
 def test_constant_image_hits_dc_only():

@@ -19,6 +19,81 @@ def periodic_correlate(x, k):
     return out
 
 
+def per_tap_stage(stage, x, adjoint=False):
+    """One stage as 0 + sum over nonzero taps of weight * shifted slice,
+    in tap order, on an np.pad wrap-padded input; the reference the fused
+    stencil must match bit for bit."""
+    c_out, c_in_pg, ks, _ = stage.kernels.shape
+    per_group = c_out // stage.groups
+    r, d = ks // 2, ks - 1
+    h, w = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="wrap")
+    out = np.zeros(((stage.c_in if adjoint else c_out), h, w))
+    for o, i, a, b in np.argwhere(stage.kernels).tolist():
+        v = float(stage.kernels[o, i, a, b])
+        i += (o // per_group) * c_in_pg
+        if adjoint:
+            out[i] += v * xp[o, d - a:d - a + h, d - b:d - b + w]
+        else:
+            out[o] += v * xp[i, a:a + h, b:b + w]
+    return out
+
+
+def assert_stencil_matches_per_tap_sum(bank, shape, rng):
+    """Each stencil stage of the bank, forward and adjoint, and the whole
+    bank equal the per-tap reference exactly."""
+    x = rng.gaussian_array((bank.in_channels,) + shape)
+    s = rng.gaussian_array((bank.out_channels,) + shape)
+    fwd, adj = x, s
+    for stage, app in zip(bank.stages, bank._appliers):
+        assert type(app) is _StencilStage
+        y = rng.gaussian_array((stage.c_out,) + shape)
+        assert np.array_equal(app.forward(fwd), per_tap_stage(stage, fwd))
+        assert np.array_equal(app.adjoint(y), per_tap_stage(stage, y, True))
+        fwd = per_tap_stage(stage, fwd)
+    for stage in reversed(bank.stages):
+        adj = per_tap_stage(stage, adj, True)
+    assert np.array_equal(bank.forward(x), fwd)
+    assert np.array_equal(bank.adjoint(s), adj[0] if bank.in_channels == 1
+                          else adj)
+
+
+def sparse_kernels(rng, shape):
+    """Gaussian taps with about half of them zeroed."""
+    return rng.gaussian_array(shape) * (rng.uniform_array(shape) < 0.5)
+
+
+def stencil_test_banks():
+    rng = Rng(37)
+    mix = rng.gaussian_array((3, 1, 1, 1))
+    mix[1] = 0.0                       # a channel with no taps at all
+    signs = np.zeros((2, 1, 3, 3))     # +-1 taps, first pair (+1, -1)
+    signs[0, 0, 0, 1], signs[0, 0, 1, 0], signs[0, 0, 2, 2] = 1.0, -1.0, -1.0
+    signs[1, 0, 1, 1], signs[1, 0, 2, 0] = -1.0, 2.0
+    return {
+        "difference": difference_bank(),
+        "box": box_bank(2, size=3),
+        "mix-1x1": FilterBank([ConvStage(mix, 1)]),
+        "signs": FilterBank([ConvStage(signs, 1)]),
+        "grouped": FilterBank([ConvStage(sparse_kernels(rng, (3, 1, 3, 3)),
+                                         3)]),
+        "two-stage": FilterBank([
+            ConvStage(sparse_kernels(rng, (2, 1, 3, 3)), 1),
+            ConvStage(sparse_kernels(rng, (2, 2, 3, 3)), 1)]),
+    }
+
+
+# 3x3 kernels are taller than the 1x4 and 1x1 images, whose single row is
+# its own wrap; test_kernels_wider_than_image adds 5x5 kernels, whose pad
+# on 1x4 wraps around the image more than once.
+@pytest.mark.parametrize("shape", [(8, 8), (5, 9), (1, 4), (1, 1), (64, 64)],
+                         ids=["8x8", "5x9", "1x4", "1x1", "64x64"])
+def test_stencil_matches_per_tap_sum(shape):
+    rng = Rng(38)
+    for bank in stencil_test_banks().values():
+        assert_stencil_matches_per_tap_sum(bank, shape, rng)
+
+
 def test_project_zero_mean():
     assert np.allclose(project_zero_mean([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
     taps = Rng(1).gaussian_array(49)
@@ -118,6 +193,8 @@ def test_kernels_wider_than_image(sparse, applier, shape):
         A = dense_matrix_of(bank.forward, in_shape)
         u = rng.gaussian_array((bank.out_channels,) + shape)
         assert np.max(np.abs(bank.adjoint(u).ravel() - A.T @ u.ravel())) < 1e-12
+        if sparse:
+            assert_stencil_matches_per_tap_sum(bank, shape, rng)
 
 
 @pytest.mark.parametrize("constraint", [None, "zero-mean", "positive-normalized"])

@@ -266,6 +266,50 @@ def test_matches_two_adjoint_iteration():
         assert np.max(np.abs(res.x - x_ref)) < 1e-12
 
 
+@pytest.mark.parametrize("box", [False, True])
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 20000])
+def test_inputs_and_earlier_results_left_unchanged(box, max_iters):
+    rng = Rng(18)
+    L = weighted_difference(rng, (8, 8))
+    X = ConstraintSet.box(0.0, 1.0) if box else ConstraintSet.all_space()
+    cfg = ProxConfig(max_iters=max_iters, epsilon=1e-11)
+    z = rng.gaussian_array((8, 8))
+    z_copy = z.copy()
+    results, copies = [], []
+    warm = {}
+    for step in range(4):
+        res = prox_weighted_l1(z, L, 0.3, X, cfg, **warm)
+        assert np.array_equal(z, z_copy)
+        for old, kept in zip(results, copies):
+            for name, value in kept.items():
+                assert np.array_equal(getattr(old, name), value), (step, name)
+        results.append(res)
+        copies.append({name: getattr(res, name).copy()
+                       for name in ("x", "dual", "dual_adjoint")})
+        assert np.array_equal(res.dual_adjoint, L.adjoint(res.dual))
+        # Warm from the last result, with and without its adjoint.
+        warm = ({"warm_u": res.dual, "warm_adjoint": res.dual_adjoint}
+                if step % 2 == 0 else {"warm_u": res.dual})
+
+
+def test_carried_adjoint_saves_one_call_and_changes_nothing():
+    rng = Rng(19)
+    L = CountingOperator(weighted_difference(rng, (8, 8)))
+    X = ConstraintSet.box(0.0, 1.0)
+    cold = prox_weighted_l1(rng.gaussian_array((8, 8)), L, 0.3, X, TIGHT)
+    z = rng.gaussian_array((8, 8))
+    L.forward_calls = L.adjoint_calls = 0
+    plain = prox_weighted_l1(z, L, 0.3, X, TIGHT, warm_u=cold.dual)
+    assert L.adjoint_calls == plain.iterations + 1
+    L.forward_calls = L.adjoint_calls = 0
+    carried = prox_weighted_l1(z, L, 0.3, X, TIGHT, warm_u=cold.dual,
+                               warm_adjoint=cold.dual_adjoint)
+    assert L.forward_calls == L.adjoint_calls == carried.iterations
+    assert carried.iterations == plain.iterations
+    for name in ("x", "dual", "dual_adjoint"):
+        assert np.array_equal(getattr(carried, name), getattr(plain, name))
+
+
 @pytest.mark.parametrize("mean", [1e-3, 1e-5, 0.0])
 def test_flat_solution_near_zero_converges(mean):
     # gamma = 1 flattens z to its mean: x_k then changes by roundoff only,

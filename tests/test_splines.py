@@ -12,21 +12,13 @@ from scipy.special import expit
 import mmrsafi
 from mmrsafi.core import Rng
 from mmrsafi.splines import (ConcavePotential, HalfLineSpline, LinearSpline,
-                             SigmoidSpline, clip, project_nonincreasing)
+                             SigmoidSpline, project_nonincreasing)
 
 
 def random_potential(rng, m=12, delta=0.1):
     raw = np.concatenate(([1.0], 1.0 - 2.0 * rng.uniform_array(m)))
     sigma = HalfLineSpline(delta, project_nonincreasing(raw))
     return ConcavePotential(sigma, r=0.25 + 2.0 * rng.uniform())
-
-
-def test_clip_branches():
-    assert clip(-2.0, -1.0, 1.0) == -1.0
-    assert clip(0.3, -1.0, 1.0) == 0.3
-    assert clip(5.0, -1.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        clip(0.0, 1.0, -1.0)
 
 
 def test_spline_knots_and_interp():
