@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: denoise, mri, prox-check, objective-trace, make-phantom.  All
-runs are deterministic given the flags and the seed; traces go to CSV and
-images to binary PGM.
+Subcommands: denoise, mri, objective-trace, make-phantom.  All runs are
+deterministic given the flags and the seed; traces go to CSV and images to
+binary PGM.
 """
 
 import argparse
@@ -16,12 +16,9 @@ from .fbs import SolverConfig
 from .fileio import archive_read, pgm_read, pgm_write, write_trace_csv
 from .forward import (IdentityOp, MaskedDftOp, add_noise, make_cartesian_mask,
                       read_mask_file, write_mask_file)
-from .linops import dense_matrix_of
-from .oracle import AdmmConfig, admm_prox_oracle
 from .params import model_from_archive
 from .phantom import make_phantom
-from .prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                   prox_weighted_l1)
+from .prox import ConstraintSet
 from .schemes import (MmrModel, default_safi_model, default_tv_model, run_cvx,
                       run_mmr, run_safi)
 
@@ -38,13 +35,15 @@ def _parse_real(text):
     return float(text)
 
 
+_DEFAULT_MODELS = {"default-tv": default_tv_model,
+                   "default-safi": default_safi_model}
+
+_SCHEMES = {"cvx": run_cvx, "mmr": run_mmr, "safi": run_safi}
+
+
 def _load_model(spec_text, lam_override, scheme):
-    if spec_text == "default-tv":
-        model = default_tv_model()
-        if lam_override is not None:
-            model.lam = lam_override
-    elif spec_text == "default-safi":
-        model = default_safi_model()
+    if spec_text in _DEFAULT_MODELS:
+        model = _DEFAULT_MODELS[spec_text]()
         if lam_override is not None:
             model.lam = lam_override
     else:
@@ -74,14 +73,6 @@ def _constraint(args):
     return ConstraintSet.box(args.box[0], args.box[1])
 
 
-def _run_scheme(scheme, model, H, y, cfg, X, reference):
-    if scheme == "cvx":
-        return run_cvx(model, H, y, cfg, X, reference=reference)
-    if scheme == "mmr":
-        return run_mmr(model, H, y, cfg, X, reference=reference)
-    return run_safi(model, H, y, cfg, X, reference=reference)
-
-
 def _add_solver_flags(p):
     p.add_argument("--lambda", dest="lam", type=_parse_real, default=None,
                    help="regularization strength override")
@@ -102,8 +93,9 @@ def _cmd_denoise(args):
     y = add_noise(clean, sigma, Rng(args.seed))
     model = _load_model(args.params or _default_params(args.scheme),
                         args.lam, args.scheme)
-    x, trace = _run_scheme(args.scheme, model, IdentityOp(), y,
-                           _solver_config(args), _constraint(args), clean)
+    x, trace = _SCHEMES[args.scheme](model, IdentityOp(), y,
+                                     _solver_config(args), _constraint(args),
+                                     reference=clean)
     pgm_write(args.output, x)
     if args.noisy_out:
         pgm_write(args.noisy_out, np.clip(y, 0.0, 1.0))
@@ -137,8 +129,8 @@ def _cmd_mri(args):
         pgm_write(args.zero_fill_out, np.clip(zero_fill, 0.0, 1.0))
     model = _load_model(args.params or _default_params(args.scheme),
                         args.lam, args.scheme)
-    x, trace = _run_scheme(args.scheme, model, H, y,
-                           _solver_config(args), _constraint(args), clean)
+    x, trace = _SCHEMES[args.scheme](model, H, y, _solver_config(args),
+                                     _constraint(args), reference=clean)
     pgm_write(args.output, np.clip(x, 0.0, 1.0))
     if args.trace:
         write_trace_csv(args.trace, trace)
@@ -146,29 +138,6 @@ def _cmd_mri(args):
     print(f"recon psnr:     {psnr(clean, x):.4f} dB "
           f"({len(trace.residuals)} steps)")
     return 0
-
-
-def _cmd_prox_check(args):
-    from .linops import difference_bank
-
-    rng = Rng(args.seed)
-    bank = difference_bank()
-    worst = 0.0
-    for i in range(args.instances):
-        z = rng.gaussian_array((8, 8))
-        weights = rng.uniform_array((2, 8, 8))
-        gamma = (0.05, 0.3, 1.0)[i % 3]
-        X = (ConstraintSet.all_space(), ConstraintSet.box(0.0, 1.0))[i % 2]
-        L = WeightedAnalysisOperator(bank, weights)
-        res = prox_weighted_l1(z, L, gamma, X,
-                               ProxConfig(max_iters=20000, epsilon=1e-13))
-        L_dense = dense_matrix_of(L.forward, (8, 8))
-        ref = admm_prox_oracle(z, L_dense, gamma, X,
-                               AdmmConfig(rho=3.0, iters=60000))
-        dev = float(np.max(np.abs(res.x.ravel() - ref)))
-        worst = max(worst, dev)
-    print(f"max deviation over {args.instances} instances: {worst:.3e}")
-    return 0 if worst < 1e-6 else 1
 
 
 def _cmd_objective_trace(args):
@@ -199,7 +168,7 @@ def build_parser():
     p = sub.add_parser("denoise", help="denoise an image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--scheme", choices=("cvx", "mmr", "safi"), default="mmr")
+    p.add_argument("--scheme", choices=tuple(_SCHEMES), default="mmr")
     p.add_argument("--sigma", default="25/255")
     p.add_argument("--params", default=None,
                    help="default-tv, default-safi, or an archive path")
@@ -211,7 +180,7 @@ def build_parser():
     p = sub.add_parser("mri", help="masked-Fourier reconstruction")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--scheme", choices=("cvx", "mmr", "safi"), default="mmr")
+    p.add_argument("--scheme", choices=tuple(_SCHEMES), default="mmr")
     p.add_argument("--sigma", default="2e-3")
     p.add_argument("--mask", default=None, help="column mask file (0/1 line)")
     p.add_argument("--acc", type=int, default=4, help="acceleration factor")
@@ -222,12 +191,6 @@ def build_parser():
     p.add_argument("--trace", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_mri)
-
-    p = sub.add_parser("prox-check",
-                       help="compare the prox solver against the dense oracle")
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_prox_check)
 
     p = sub.add_parser("objective-trace",
                        help="print the objective sequence of an MMR run")

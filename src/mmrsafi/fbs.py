@@ -78,9 +78,10 @@ def _step_size(H):
 def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     """Accelerated proximal gradient for one reweighted convex problem.
 
-    With H = Id a single step returns prox_{lam*||L.||_1}(y) exactly, so the
-    loop is cut short.  The gradient is H^T H x - H^T y, with H^T y formed
-    once per solve.  L is fixed within the solve, so each prox call passes
+    When H^T H = I (H.normal_is_identity) a single step returns
+    prox_{lam*||L.||_1}(H^T y) exactly, so the loop is cut short.  The
+    gradient is H^T H x - H^T y, with H^T y formed once per solve.  L is
+    fixed within the solve, so each prox call passes
     its dual and the dual's adjoint L^T u on to the next call.  The dual of
     the last prox call is returned for warm-starting the next solve.
     """
@@ -88,7 +89,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite initial iterate")
     alpha = _step_size(H)
-    identity = getattr(H, "kind", None) == "identity"
+    identity = H.normal_is_identity
     max_iter = 1 if identity else cfg.k_fbs
     eps_fbs = cfg.eps_fbs if cfg.eps_fbs is not None else tol_fbs(k_out)
 

@@ -4,7 +4,7 @@ The DFT uses the orthonormal convention so that the masked operator has unit
 spectral norm and the gradient step 1/||H||^2 is exactly one.  Complex
 measurements are stored as real pairs (..., 2); images stay real.  Each
 operator also applies its normal map H^T H directly, which is what the FBS
-gradient needs.
+gradient needs, and says in normal_is_identity whether H^T H = I.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ import numpy as np
 class IdentityOp:
     """H = Id, used for denoising."""
 
-    kind = "identity"
     norm = 1.0
+    normal_is_identity = True
 
     def forward(self, x):
         return np.array(x, dtype=np.float64)
@@ -37,9 +37,9 @@ class MaskedDftOp:
     columns cancels, and along each row Re(F^H P F) = F^H S F, where P keeps
     the measured frequencies and S is the real, even multiplier
     (1_P(f) + 1_P(-f)) / 2.  normal() applies it with one real FFT pair.
+    When every column is kept, H^T H = I.
     """
 
-    kind = "masked-dft"
     norm = 1.0
 
     def __init__(self, column_mask, height, width):
@@ -51,6 +51,7 @@ class MaskedDftOp:
         if height & (height - 1) or width & (width - 1):
             raise ValueError("image dimensions must be powers of two")
         self.column_mask = column_mask
+        self.normal_is_identity = bool(column_mask.all())
         self.height = height
         self.width = width
         # Centered mask index -> unshifted DFT column.

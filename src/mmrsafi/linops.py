@@ -325,7 +325,7 @@ class MatrixOp:
         if self.matrix.shape[1] != int(np.prod(in_shape)):
             raise ValueError("matrix columns do not match input size")
         self.norm = float(np.linalg.norm(self.matrix, 2))
-        self.kind = "dense"
+        self.normal_is_identity = False
 
     def forward(self, x):
         return self.matrix @ np.asarray(x, dtype=np.float64).ravel()

@@ -1,4 +1,4 @@
-"""Independent reference computations for tests and the prox-check command.
+"""Independent reference computations for the tests.
 
 None of this shares code with the main solvers: the prox and full problems
 are solved by dense ADMM with Cholesky factorizations, gradients are checked

@@ -89,7 +89,6 @@ class WeightedAnalysisOperator:
 class ProxConfig:
     max_iters: int = 500
     epsilon: float = 1e-9
-    alpha: float = None   # dual step; 1/L.norm_bound()^2 when None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -141,15 +140,12 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
         raise ValueError("non-finite prox input")
 
     bound = L.norm_bound()
-    if cfg.alpha is not None:
-        alpha = cfg.alpha
-    elif bound ** 2 < 1e-30:
+    if bound ** 2 < 1e-30:
         # L vanishes: the penalty is zero and the prox is the projection.
         x = X.project(z)
         return ProxResult(x, np.zeros_like(L.weights), 0, True,
                           np.zeros_like(z))
-    else:
-        alpha = 1.0 / bound ** 2
+    alpha = 1.0 / bound ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
 
     if warm_u is None:

@@ -121,22 +121,31 @@ def eval_majorization(model, H, y, x, x_anchor):
     return value
 
 
-def _ones_mask(W, shape):
-    return np.ones((W.out_channels,) + tuple(shape))
+def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
+                objective_fn=None):
+    """Outer loop shared by every scheme: one reweighted convex solve per step.
 
-
-def _run_scheme(mask_fn, W, lam, H, y, cfg, X, x_init, reference, objective_fn):
-    shape = _image_shape(H, y)
+    Each step takes its mask from the current iterate, except a cold first
+    step (no x_init), which uses ones.  Without a mask generator the mask
+    stays at one and a single solve is run.  The image shape is that of
+    x_init, or of H^T y on a cold start.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    X = X if X is not None else ConstraintSet.all_space()
+    lam = cfg.lam if cfg.lam is not None else model.lam
     if x_init is None:
-        x = np.zeros(shape)
-        mask = _ones_mask(W, shape)
+        x = np.zeros(H.adjoint(y).shape)
     else:
         x = np.asarray(x_init, dtype=np.float64)
-        mask = mask_fn(x)
-    L = WeightedAnalysisOperator(W, mask)
+    k_out = cfg.k_out if mask_fn is not None else 1
     trace = SchemeTrace()
     dual = None
-    for k in range(1, cfg.k_out + 1):
+    for k in range(1, k_out + 1):
+        if mask_fn is None or (k == 1 and x_init is None):
+            mask = np.ones((model.W.out_channels,) + x.shape)
+        else:
+            mask = mask_fn(x)
+        L = WeightedAnalysisOperator(model.W, mask)
         res = fbs_solve(H, y, L, lam, x, k, cfg, X, warm_u=dual)
         x_next, dual = res.x, res.dual
         trace.record_solve(res)
@@ -146,7 +155,6 @@ def _run_scheme(mask_fn, W, lam, H, y, cfg, X, x_init, reference, objective_fn):
             trace.objectives.append(objective_fn(x_next))
         if reference is not None:
             trace.psnrs.append(psnr(reference, x_next))
-        L = WeightedAnalysisOperator(W, mask_fn(x_next))
         stop = (np.linalg.norm(x_next - x)
                 < cfg.eps_out * np.linalg.norm(x))
         x = x_next
@@ -155,46 +163,22 @@ def _run_scheme(mask_fn, W, lam, H, y, cfg, X, x_init, reference, objective_fn):
     return x, trace
 
 
-def _image_shape(H, y):
-    if getattr(H, "kind", None) == "masked-dft":
-        return (H.height, H.width)
-    return np.asarray(y).shape
-
-
 def run_mmr(model, H, y, cfg=None, X=None, x_init=None, reference=None):
     """Majorization-minimization loop (reweighted convex solves)."""
-    cfg = cfg if cfg is not None else SolverConfig()
-    X = X if X is not None else ConstraintSet.all_space()
-    lam = cfg.lam if cfg.lam is not None else model.lam
-    return _run_scheme(
-        lambda x: mask_mmr(model, x), model.W, lam, H, y, cfg, X,
-        x_init, reference, lambda x: eval_objective(model, H, y, x))
+    return _run_scheme(model, H, y, cfg, X, x_init, reference,
+                       lambda x: mask_mmr(model, x),
+                       lambda x: eval_objective(model, H, y, x))
 
 
 def run_safi(model, H, y, cfg=None, X=None, x_init=None, reference=None):
     """Solution-adaptive fixed-point loop with the learned mask generator."""
-    cfg = cfg if cfg is not None else SolverConfig()
-    X = X if X is not None else ConstraintSet.all_space()
-    lam = cfg.lam if cfg.lam is not None else model.lam
-    return _run_scheme(
-        lambda x: mask_safi(model, x), model.W, lam, H, y, cfg, X,
-        x_init, reference, None)
+    return _run_scheme(model, H, y, cfg, X, x_init, reference,
+                       lambda x: mask_safi(model, x))
 
 
 def run_cvx(model, H, y, cfg=None, X=None, x_init=None, reference=None):
     """Single non-adaptive convex solve (mask fixed at one)."""
-    cfg = cfg if cfg is not None else SolverConfig()
-    X = X if X is not None else ConstraintSet.all_space()
-    lam = cfg.lam if cfg.lam is not None else model.lam
-    shape = _image_shape(H, y)
-    x = np.zeros(shape) if x_init is None else np.asarray(x_init, float)
-    L = WeightedAnalysisOperator(model.W, _ones_mask(model.W, shape))
-    res = fbs_solve(H, y, L, lam, x, 1, cfg, X)
-    trace = SchemeTrace(residuals=[relative_change(res.x, x)])
-    trace.record_solve(res)
-    if reference is not None:
-        trace.psnrs.append(psnr(reference, res.x))
-    return res.x, trace
+    return _run_scheme(model, H, y, cfg, X, x_init, reference)
 
 
 # -- analytic default models (stand-ins for trained parameter archives) -----

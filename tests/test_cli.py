@@ -103,13 +103,6 @@ def test_mri_mask_file_input(tmp_path, phantom_pgm):
     assert out.exists()
 
 
-def test_prox_check(capsys):
-    assert main(["prox-check", "--instances", "6"]) == 0
-    out = capsys.readouterr().out
-    assert "max deviation" in out
-    assert float(out.strip().rsplit(" ", 1)[-1]) < 1e-6
-
-
 def test_objective_trace(capsys, tmp_path, phantom_pgm):
     code = main(["objective-trace", "--input", str(phantom_pgm),
                  "--sigma", "15/255", "--k-out", "4"])

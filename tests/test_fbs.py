@@ -5,13 +5,16 @@ from mmrsafi import fbs
 from mmrsafi.core import Rng
 from mmrsafi.fbs import (NumericalError, SolverConfig, fbs_solve,
                          momentum_next, tol_fbs, tol_prox)
-from mmrsafi.forward import IdentityOp, MaskedDftOp, make_cartesian_mask
+from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
+                             make_cartesian_mask)
 from mmrsafi.phantom import make_phantom
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import admm_full_oracle
 from mmrsafi.prox import (ConstraintSet, WeightedAnalysisOperator,
                           prox_weighted_l1)
+from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
+                             mask_safi)
 
 
 def ones_difference(shape):
@@ -229,3 +232,29 @@ def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
     assert np.array_equal(ref.x, res.x)
     assert np.array_equal(ref.dual, res.dual)
 
+
+@pytest.mark.parametrize("scheme", ["mmr", "safi"])
+def test_full_column_mask_takes_one_exact_step(scheme):
+    assert IdentityOp.normal_is_identity
+    assert not MatrixOp(np.eye(4), (2, 2)).normal_is_identity
+    dropped = np.ones(64, dtype=bool)
+    dropped[5] = False
+    assert not MaskedDftOp(dropped, 64, 64).normal_is_identity
+
+    H = MaskedDftOp(np.ones(64, dtype=bool), 64, 64)
+    assert H.normal_is_identity
+    y = add_noise(H.forward(make_phantom()), 0.05, Rng(21))
+    if scheme == "mmr":
+        model = default_tv_model()
+        mask = mask_mmr(model, H.adjoint(y))
+    else:
+        model = default_safi_model()
+        mask = mask_safi(model, H.adjoint(y))
+    L = WeightedAnalysisOperator(model.W, mask)
+    X = ConstraintSet.box(0.0, 1.0)
+    res = fbs_solve(H, y, L, model.lam, np.zeros((64, 64)), 2,
+                    SolverConfig(), X)
+    assert res.iterations == 1 and res.converged
+    ref = fbs_solve(IdentityOp(), H.adjoint(y), L, model.lam,
+                    np.zeros((64, 64)), 2, SolverConfig(), X)
+    assert np.max(np.abs(res.x - ref.x)) <= 1e-12

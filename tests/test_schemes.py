@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from helpers import random_mmr_model, random_safi_model
+from mmrsafi import schemes
 from mmrsafi.core import Rng, psnr
-from mmrsafi.fbs import SolverConfig
+from mmrsafi.fbs import SolverConfig, fbs_solve
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
-from mmrsafi.linops import dense_matrix_of
+from mmrsafi.linops import MatrixOp, dense_matrix_of
 from mmrsafi.oracle import finite_diff_gradient
 from mmrsafi.phantom import make_phantom
-from mmrsafi.prox import WeightedAnalysisOperator
+from mmrsafi.prox import ConstraintSet, WeightedAnalysisOperator
 from mmrsafi.schemes import (default_safi_model, default_tv_model,
                              eval_majorization, eval_objective, mask_mmr,
                              mask_safi, run_cvx, run_mmr, run_safi)
@@ -304,3 +305,40 @@ def test_trace_reports_inner_solves():
         phantom, 0.05, Rng(20)), SolverConfig())
     assert trace.fbs_iterations == [1] and trace.fbs_converged == [True]
     assert trace.prox_unconverged == [0] and trace.prox_iterations[0] >= 1
+
+
+def test_schemes_run_on_a_dense_matrix_operator():
+    rng = Rng(2)
+    H = MatrixOp(rng.gaussian_array((20, 16)) + 2.0 * np.eye(20, 16), (4, 4))
+    y = rng.gaussian_array(20)
+    model = default_tv_model()
+    cfg = SolverConfig(k_out=2, k_fbs=200)
+    x, trace = run_cvx(model, H, y, cfg)
+    L = WeightedAnalysisOperator(model.W, np.ones((2, 4, 4)))
+    ref = fbs_solve(H, y, L, model.lam, np.zeros((4, 4)), 1, cfg,
+                    ConstraintSet.all_space())
+    assert np.array_equal(x, ref.x)
+    assert trace.fbs_iterations == [ref.iterations]
+    x, trace = run_mmr(model, H, y, cfg)
+    assert x.shape == (4, 4) and np.all(np.isfinite(x))
+    assert len(trace.residuals) == len(trace.objectives) == 2
+
+
+@pytest.mark.parametrize("run, steps, masks_cold, masks_warm", [
+    (run_cvx, 1, 0, 0), (run_mmr, 3, 2, 3), (run_safi, 3, 2, 3)])
+def test_one_mask_per_step_none_after_the_last(monkeypatch, run, steps,
+                                               masks_cold, masks_warm):
+    calls = []
+    for name in ("mask_mmr", "mask_safi"):
+        def counted(model, x, original=getattr(schemes, name)):
+            calls.append(x)
+            return original(model, x)
+        monkeypatch.setattr(schemes, name, counted)
+    model = default_safi_model() if run is run_safi else default_tv_model()
+    y = add_noise(make_phantom(16, seed=4), 0.05, Rng(20))
+    for x_init, masks in ((None, masks_cold), (y, masks_warm)):
+        calls.clear()
+        _, trace = run(model, IdentityOp(), y, SolverConfig(k_out=3),
+                       x_init=x_init)
+        assert len(trace.residuals) == steps
+        assert len(calls) == masks

@@ -148,9 +148,10 @@ def test_sigmoid_spline_matches_expit_without_overflow():
 
 def test_package_import_leaves_out_scipy():
     src = str(Path(mmrsafi.__file__).resolve().parents[1])
-    code = "import sys, mmrsafi; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    for module in ("mmrsafi", "mmrsafi.cli"):
+        code = f"import sys, {module}; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False", module
 
