@@ -30,8 +30,10 @@ class CliError(Exception):
 def _parse_real(text):
     """Plain floats plus fraction syntax like 25/255."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(part) for part in text.split("/", 1))
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -41,15 +43,13 @@ _DEFAULT_MODELS = {"default-tv": default_tv_model,
 _SCHEMES = {"cvx": run_cvx, "mmr": run_mmr, "safi": run_safi}
 
 
-def _load_model(spec_text, lam_override, scheme):
+def _load_model(spec_text, scheme):
     if spec_text in _DEFAULT_MODELS:
         model = _DEFAULT_MODELS[spec_text]()
-        if lam_override is not None:
-            model.lam = lam_override
     else:
         if not os.path.isfile(spec_text):
             raise CliError(f"parameter archive not found: {spec_text}")
-        model = model_from_archive(archive_read(spec_text), lam_override)
+        model = model_from_archive(archive_read(spec_text))
     is_mmr = isinstance(model, MmrModel)
     if scheme == "safi" and is_mmr:
         raise CliError("scheme safi needs a SAFI parameter set")
@@ -58,44 +58,43 @@ def _load_model(spec_text, lam_override, scheme):
     return model
 
 
-def _default_params(scheme):
-    return "default-safi" if scheme == "safi" else "default-tv"
+def _read_input(args):
+    if not os.path.isfile(args.input):
+        raise CliError(f"input image not found: {args.input}")
+    return pgm_read(args.input)
 
 
-def _solver_config(args):
-    return SolverConfig(k_out=args.k_out, k_fbs=args.k_fbs,
-                        k_prox=args.k_prox, eps_out=args.eps_out)
-
-
-def _constraint(args):
+def _reconstruct(args, scheme, H, y, reference=None):
+    """Load the parameter set and run the scheme with the solver flags."""
+    default = "default-safi" if scheme == "safi" else "default-tv"
+    model = _load_model(args.params or default, scheme)
+    cfg = SolverConfig(lam=args.lam, k_out=args.k_out, k_fbs=args.k_fbs,
+                       k_prox=args.k_prox, eps_out=args.eps_out)
     if args.box is None:
-        return ConstraintSet.all_space()
-    return ConstraintSet.box(args.box[0], args.box[1])
+        X = ConstraintSet.all_space()
+    else:
+        X = ConstraintSet.box(args.box[0], args.box[1])
+    return _SCHEMES[scheme](model, H, y, cfg, X, reference=reference)
 
 
 def _add_solver_flags(p):
-    p.add_argument("--lambda", dest="lam", type=_parse_real, default=None,
+    p.add_argument("--lambda", dest="lam", type=_parse_real,
+                   default=SolverConfig.lam,
                    help="regularization strength override")
-    p.add_argument("--k-out", type=int, default=10)
-    p.add_argument("--k-fbs", type=int, default=1000)
-    p.add_argument("--k-prox", type=int, default=500)
-    p.add_argument("--eps-out", type=float, default=1e-5)
+    p.add_argument("--k-out", type=int, default=SolverConfig.k_out)
+    p.add_argument("--k-fbs", type=int, default=SolverConfig.k_fbs)
+    p.add_argument("--k-prox", type=int, default=SolverConfig.k_prox)
+    p.add_argument("--eps-out", type=float, default=SolverConfig.eps_out)
     p.add_argument("--box", type=float, nargs=2, metavar=("LO", "HI"),
                    default=None, help="box constraint bounds")
     p.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_denoise(args):
-    if not os.path.isfile(args.input):
-        raise CliError(f"input image not found: {args.input}")
-    clean = pgm_read(args.input)
-    sigma = _parse_real(args.sigma)
-    y = add_noise(clean, sigma, Rng(args.seed))
-    model = _load_model(args.params or _default_params(args.scheme),
-                        args.lam, args.scheme)
-    x, trace = _SCHEMES[args.scheme](model, IdentityOp(), y,
-                                     _solver_config(args), _constraint(args),
-                                     reference=clean)
+    clean = _read_input(args)
+    y = add_noise(clean, _parse_real(args.sigma), Rng(args.seed))
+    x, trace = _reconstruct(args, args.scheme, IdentityOp(), y,
+                            reference=clean)
     pgm_write(args.output, x)
     if args.noisy_out:
         pgm_write(args.noisy_out, np.clip(y, 0.0, 1.0))
@@ -106,9 +105,7 @@ def _cmd_denoise(args):
 
 
 def _cmd_mri(args):
-    if not os.path.isfile(args.input):
-        raise CliError(f"input image not found: {args.input}")
-    clean = pgm_read(args.input)
+    clean = _read_input(args)
     height, width = clean.shape
     if args.mask is not None:
         if not os.path.isfile(args.mask):
@@ -122,15 +119,11 @@ def _cmd_mri(args):
         if args.mask_out:
             write_mask_file(args.mask_out, mask)
     H = MaskedDftOp(mask, height, width)
-    sigma = _parse_real(args.sigma)
-    y = add_noise(H.forward(clean), sigma, Rng(args.seed))
+    y = add_noise(H.forward(clean), _parse_real(args.sigma), Rng(args.seed))
     zero_fill = H.adjoint(y)
     if args.zero_fill_out:
         pgm_write(args.zero_fill_out, np.clip(zero_fill, 0.0, 1.0))
-    model = _load_model(args.params or _default_params(args.scheme),
-                        args.lam, args.scheme)
-    x, trace = _SCHEMES[args.scheme](model, H, y, _solver_config(args),
-                                     _constraint(args), reference=clean)
+    x, trace = _reconstruct(args, args.scheme, H, y, reference=clean)
     pgm_write(args.output, np.clip(x, 0.0, 1.0))
     if args.trace:
         write_trace_csv(args.trace, trace)
@@ -141,14 +134,9 @@ def _cmd_mri(args):
 
 
 def _cmd_objective_trace(args):
-    if not os.path.isfile(args.input):
-        raise CliError(f"input image not found: {args.input}")
-    clean = pgm_read(args.input)
-    sigma = _parse_real(args.sigma)
-    y = add_noise(clean, sigma, Rng(args.seed))
-    model = _load_model(args.params or "default-tv", args.lam, "mmr")
-    _, trace = run_mmr(model, IdentityOp(), y, _solver_config(args),
-                       _constraint(args))
+    clean = _read_input(args)
+    y = add_noise(clean, _parse_real(args.sigma), Rng(args.seed))
+    _, trace = _reconstruct(args, "mmr", IdentityOp(), y)
     for k, f_val in enumerate(trace.objectives, start=1):
         print(f"{k} {f_val!r}")
     return 0

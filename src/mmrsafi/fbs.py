@@ -11,7 +11,7 @@ import numpy as np
 
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .linops import operator_norm  # noqa: F401
-from .prox import ProxConfig, prox_weighted_l1
+from .prox import ProxConfig, momentum_next, prox_weighted_l1
 
 
 class NumericalError(RuntimeError):
@@ -24,7 +24,7 @@ class SolverConfig:
     k_fbs: int = 1000
     k_prox: int = 500
     eps_out: float = 1e-5
-    lam: float = None        # regularization strength; None defers to the model
+    lam: float = None        # replaces model.lam when set
     eps_fbs: float = None    # fixed FBS tolerance; None follows the schedule
     eps_prox: float = None   # fixed prox tolerance; None follows the schedule
 
@@ -41,13 +41,6 @@ class FbsResult:
     converged: bool
     prox_iterations: int     # dual iterations summed over the prox calls
     prox_unconverged: int    # prox calls that hit their budget
-
-
-def momentum_next(k):
-    """Momentum scalar t_{k+1} = (k+5)/3 (with t_1 = 1)."""
-    if k < 1:
-        raise ValueError("iteration index must be >= 1")
-    return (k + 5.0) / 3.0
 
 
 def tol_fbs(k_out):
@@ -85,6 +78,8 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     its dual and the dual's adjoint L^T u on to the next call.  The dual of
     the last prox call is returned for warm-starting the next solve.
     """
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     x = np.asarray(x_init, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite initial iterate")

@@ -38,9 +38,6 @@ class ParamArchive:
     def names(self):
         return list(self._arrays)
 
-    def __contains__(self, name):
-        return name in self._arrays
-
     def __eq__(self, other):
         if not isinstance(other, ParamArchive):
             return NotImplemented

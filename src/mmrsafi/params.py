@@ -60,10 +60,10 @@ def safi_to_archive(model):
     return archive
 
 
-def model_from_archive(archive, lam_override=None):
+def model_from_archive(archive):
     """Rebuild an MmrModel or SafiModel; constraints are re-applied."""
     kind = archive.scalar("kind")
-    lam = archive.scalar("lambda") if lam_override is None else lam_override
+    lam = archive.scalar("lambda")
     if kind == _KIND_MMR:
         W = _unpack_bank(archive, "W", constraint="zero-mean")
         B = _unpack_bank(archive, "B", constraint="positive-normalized")

@@ -85,6 +85,13 @@ class WeightedAnalysisOperator:
         return self._norm_bound
 
 
+def momentum_next(k):
+    """Momentum scalar t_{k+1} = (k+5)/3 (with t_1 = 1)."""
+    if k < 1:
+        raise ValueError("iteration index must be >= 1")
+    return (k + 5.0) / 3.0
+
+
 @dataclass
 class ProxConfig:
     max_iters: int = 500
@@ -172,7 +179,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
         np.add(v, u_next, out=u_next)
         np.clip(u_next, -gamma, gamma, out=u_next)
         a_next = L.adjoint(u_next)
-        t_next = (k + 5.0) / 3.0
+        t_next = momentum_next(k)
         beta = (t - 1.0) / t_next
         np.subtract(u_next, u, out=v)
         np.multiply(v, beta, out=v)

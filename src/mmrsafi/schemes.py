@@ -9,7 +9,7 @@ phi3_c(Bh_c phi2(Bt phi1(Wt x))), and the reconstruction is a fixed point of
 the induced update operator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,55 +66,63 @@ class SchemeTrace:
         self.prox_unconverged.append(res.prox_unconverged)
 
 
-def mask_mmr(model, x):
-    """Reweighting mask Lambda_c(x) = B_c^T psi'_c(B_c |W_c x|)."""
+def _per_channel(fns, u):
+    """Stack fn_c(u_c): one scalar map per channel of u."""
+    out = np.empty_like(u)
+    for c, fn in enumerate(fns):
+        out[c] = fn(u[c])
+    return out
+
+
+def _activity(model, x):
+    """s = |W x| and t = max(B s, 0), the argument of the MMR potentials."""
     s = np.abs(model.W.forward(x))
     # t >= 0 exactly (B has nonnegative taps and s >= 0), but a B wide enough
     # to run through FFT multipliers can leave -1e-17 where the exact value
     # is 0; the potentials are only defined on the nonnegative axis.
     t = np.maximum(model.B.forward(s), 0.0)
-    p = np.empty_like(t)
-    for c, pot in enumerate(model.potentials):
-        p[c] = pot.derivative(t[c])
-    return model.B.adjoint(p)
+    return s, t
+
+
+def _add_penalty(value, model, t):
+    """value + lam * sum_c <1, psi_c(t_c)>, added one channel at a time."""
+    for psi in _per_channel(model.potentials, t):
+        value += model.lam * float(np.sum(psi))
+    return value
+
+
+def _data_fit(H, y, x):
+    """0.5*||H x - y||^2."""
+    resid = H.forward(x) - np.asarray(y, dtype=np.float64)
+    return 0.5 * float(np.sum(resid ** 2))
+
+
+def mask_mmr(model, x):
+    """Reweighting mask Lambda_c(x) = B_c^T psi'_c(B_c |W_c x|)."""
+    _, t = _activity(model, x)
+    derivatives = [pot.derivative for pot in model.potentials]
+    return model.B.adjoint(_per_channel(derivatives, t))
 
 
 def mask_safi(model, x):
     """Learned mask Lambda~_c(x) = phi3_c(Bh_c phi2(Bt phi1(Wt x)))."""
-    u = model.Wt.forward(x)
-    a = np.empty_like(u)
-    for c, phi in enumerate(model.phi1):
-        a[c] = phi(u[c])
-    u = model.Bt.forward(a)
-    for c, phi in enumerate(model.phi2):
-        a[c] = phi(u[c])
-    u = model.Bh.forward(a)
-    out = np.empty_like(u)
-    for c, phi in enumerate(model.phi3):
-        out[c] = phi(u[c])
-    return out
+    a = _per_channel(model.phi1, model.Wt.forward(x))
+    a = _per_channel(model.phi2, model.Bt.forward(a))
+    return _per_channel(model.phi3, model.Bh.forward(a))
 
 
 def eval_objective(model, H, y, x):
     """f(x) = 0.5*||H x - y||^2 + lam * sum_c <1, psi_c(B_c |W_c x|)>."""
     x = np.asarray(x, dtype=np.float64)
-    resid = H.forward(x) - np.asarray(y, dtype=np.float64)
-    value = 0.5 * float(np.sum(resid ** 2))
-    t = np.maximum(model.B.forward(np.abs(model.W.forward(x))), 0.0)
-    for c, pot in enumerate(model.potentials):
-        value += model.lam * float(np.sum(pot(t[c])))
-    return value
+    _, t = _activity(model, x)
+    return _add_penalty(_data_fit(H, y, x), model, t)
 
 
 def eval_majorization(model, H, y, x, x_anchor):
     """Tangent majorization g(x, x_anchor) of the objective at the anchor."""
     x = np.asarray(x, dtype=np.float64)
-    resid = H.forward(x) - np.asarray(y, dtype=np.float64)
-    value = 0.5 * float(np.sum(resid ** 2))
-    s_anchor = np.abs(model.W.forward(x_anchor))
-    t_anchor = np.maximum(model.B.forward(s_anchor), 0.0)
-    for c, pot in enumerate(model.potentials):
-        value += model.lam * float(np.sum(pot(t_anchor[c])))
+    s_anchor, t_anchor = _activity(model, x_anchor)
+    value = _add_penalty(_data_fit(H, y, x), model, t_anchor)
     mask = mask_mmr(model, x_anchor)
     s = np.abs(model.W.forward(x))
     value += model.lam * float(np.sum(mask * (s - s_anchor)))
@@ -125,14 +133,19 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
                 objective_fn=None):
     """Outer loop shared by every scheme: one reweighted convex solve per step.
 
-    Each step takes its mask from the current iterate, except a cold first
-    step (no x_init), which uses ones.  Without a mask generator the mask
-    stays at one and a single solve is run.  The image shape is that of
-    x_init, or of H^T y on a cold start.
+    lambda is resolved once: cfg.lam, when set, replaces model.lam, and the
+    FBS solves, mask_fn(model, x) and objective_fn(model, H, y, x) all see
+    the same model.  Each step takes its mask from the current iterate,
+    except a cold first step (no x_init), which uses ones.  Without a mask
+    generator the mask stays at one and a single solve is run.  The loop
+    stops after cfg.k_out steps, or once the step's relative change
+    e_k = ||x_{k+1} - x_k|| / ||x_k|| falls below cfg.eps_out.  The image
+    shape is that of x_init, or of H^T y on a cold start.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     X = X if X is not None else ConstraintSet.all_space()
-    lam = cfg.lam if cfg.lam is not None else model.lam
+    if cfg.lam is not None:
+        model = replace(model, lam=cfg.lam)
     if x_init is None:
         x = np.zeros(H.adjoint(y).shape)
     else:
@@ -144,21 +157,19 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
         if mask_fn is None or (k == 1 and x_init is None):
             mask = np.ones((model.W.out_channels,) + x.shape)
         else:
-            mask = mask_fn(x)
+            mask = mask_fn(model, x)
         L = WeightedAnalysisOperator(model.W, mask)
-        res = fbs_solve(H, y, L, lam, x, k, cfg, X, warm_u=dual)
+        res = fbs_solve(H, y, L, model.lam, x, k, cfg, X, warm_u=dual)
         x_next, dual = res.x, res.dual
         trace.record_solve(res)
         trace.residuals.append(relative_change(x_next, x))
         trace.iterate_norms.append(float(np.linalg.norm(x_next)))
         if objective_fn is not None:
-            trace.objectives.append(objective_fn(x_next))
+            trace.objectives.append(objective_fn(model, H, y, x_next))
         if reference is not None:
             trace.psnrs.append(psnr(reference, x_next))
-        stop = (np.linalg.norm(x_next - x)
-                < cfg.eps_out * np.linalg.norm(x))
         x = x_next
-        if stop:
+        if trace.residuals[-1] < cfg.eps_out:
             break
     return x, trace
 
@@ -166,14 +177,12 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
 def run_mmr(model, H, y, cfg=None, X=None, x_init=None, reference=None):
     """Majorization-minimization loop (reweighted convex solves)."""
     return _run_scheme(model, H, y, cfg, X, x_init, reference,
-                       lambda x: mask_mmr(model, x),
-                       lambda x: eval_objective(model, H, y, x))
+                       mask_mmr, eval_objective)
 
 
 def run_safi(model, H, y, cfg=None, X=None, x_init=None, reference=None):
     """Solution-adaptive fixed-point loop with the learned mask generator."""
-    return _run_scheme(model, H, y, cfg, X, x_init, reference,
-                       lambda x: mask_safi(model, x))
+    return _run_scheme(model, H, y, cfg, X, x_init, reference, mask_safi)
 
 
 def run_cvx(model, H, y, cfg=None, X=None, x_init=None, reference=None):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from mmrsafi.cli import main
-from mmrsafi.core import psnr
+from mmrsafi.core import Rng, psnr
+from mmrsafi.fbs import SolverConfig
 from mmrsafi.fileio import pgm_read
+from mmrsafi.forward import IdentityOp, add_noise
 from mmrsafi.phantom import make_phantom
+from mmrsafi.schemes import default_tv_model, eval_objective, run_mmr
 
 
 @pytest.fixture()
@@ -111,6 +114,34 @@ def test_objective_trace(capsys, tmp_path, phantom_pgm):
     assert 1 <= len(lines) <= 4
     vals = [float(line.split()[1]) for line in lines]
     assert all(b <= a + 1e-3 * abs(a) for a, b in zip(vals, vals[1:]))
+
+
+def test_objective_trace_uses_the_lambda_override(capsys, phantom_pgm):
+    code = main(["objective-trace", "--input", str(phantom_pgm),
+                 "--sigma", "15/255", "--k-out", "2", "--lambda", "0.05"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    y = add_noise(pgm_read(phantom_pgm), 15 / 255, Rng(0))
+    model = default_tv_model(lam=0.05)
+    x, trace = run_mmr(model, IdentityOp(), y, SolverConfig(k_out=2))
+    assert [float(line.split()[1]) for line in lines] == trace.objectives
+    assert trace.objectives[-1] == eval_objective(model, IdentityOp(), y, x)
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--lambda", "-1", 1), ("--lambda", "nan", 1), ("--lambda", "1/0", 2),
+    ("--sigma", "1/0", 1)])
+def test_bad_real_input_rejected(capsys, tmp_path, phantom_pgm, flag, value,
+                                 expected):
+    out = tmp_path / "recon.pgm"
+    try:
+        code = main(["denoise", "--input", str(phantom_pgm),
+                     "--output", str(out), "--k-out", "1", flag, value])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_archive_path(tmp_path, phantom_pgm):

@@ -164,6 +164,14 @@ def test_nonfinite_init_rejected():
                   SolverConfig(), ConstraintSet.all_space())
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_bad_lambda_rejected(lam):
+    y = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="lambda"):
+        fbs_solve(IdentityOp(), y, ones_difference((3, 3)), lam, y, 1,
+                  SolverConfig(), ConstraintSet.all_space())
+
+
 def test_prox_counts_summed_over_inner_calls():
     rng = Rng(7)
     H = MatrixOp(rng.gaussian_array((20, 16)) + 2.0 * np.eye(20, 16), (4, 4))

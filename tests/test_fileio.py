@@ -66,8 +66,8 @@ def test_safi_model_roundtrip(tmp_path):
     model = default_safi_model(lam=0.2)
     path = tmp_path / "safi.bin"
     archive_write(path, safi_to_archive(model))
-    again = model_from_archive(archive_read(path), lam_override=0.5)
-    assert again.lam == 0.5
+    again = model_from_archive(archive_read(path))
+    assert again.lam == 0.2
     x = Rng(2).gaussian_array((8, 8))
     assert np.max(np.abs(mask_safi(model, x) - mask_safi(again, x))) < 1e-14
 

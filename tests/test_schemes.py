@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,20 @@ def test_one_mask_per_step_none_after_the_last(monkeypatch, run, steps,
                        x_init=x_init)
         assert len(trace.residuals) == steps
         assert len(calls) == masks
+
+
+def test_cfg_lambda_replaces_model_lambda_in_the_objective():
+    model = default_tv_model()
+    y = add_noise(make_phantom(16, seed=4), 0.05, Rng(20))
+    x, trace = run_mmr(model, IdentityOp(), y,
+                       SolverConfig(lam=0.03, k_out=1))
+    assert model.lam == 0.1
+    assert trace.objectives[-1] == eval_objective(
+        replace(model, lam=0.03), IdentityOp(), y, x)
+
+
+def test_outer_loop_stops_at_a_fixed_point_at_zero():
+    x, trace = run_mmr(default_tv_model(), IdentityOp(), np.zeros((8, 8)),
+                       SolverConfig(k_out=5))
+    assert trace.residuals == [0.0]
+    assert not np.any(x)
