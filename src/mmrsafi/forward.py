@@ -114,8 +114,8 @@ def make_cartesian_mask(width, acc, center_fraction, rng):
 
 def add_noise(y, sigma, rng):
     """Add i.i.d. N(0, sigma^2) to every real component of y."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     y = np.asarray(y, dtype=np.float64)
     if sigma == 0.0:
         return y.copy()

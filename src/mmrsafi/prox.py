@@ -116,6 +116,20 @@ def dual_gradient(L, X, z, u):
     return L.forward(X.project(z - L.adjoint(u)))
 
 
+def duality_gap(L, gamma, z, x, u):
+    """Duality gap G and primal value P of the prox at the pair (x, u).
+
+    G = gamma*||L x||_1 - <u, L x> and P = 0.5*||x - z||^2 + gamma*||L x||_1,
+    for one L.forward.  When x = Proj_X(z - L^T u) and |u| <= gamma, as for
+    a ProxResult's x and dual, the dual value at u is P - G, so G >= 0 is
+    the exact gap, both on all of R^N and on a box.
+    """
+    lx = L.forward(x)
+    penalty = gamma * float(np.sum(np.abs(lx)))
+    gap = penalty - float(np.vdot(u, lx))
+    return gap, 0.5 * float(np.sum((x - z) ** 2)) + penalty
+
+
 def _project_into(X, r):
     """r <- Proj_X(r), in place."""
     if not X.is_all_space:

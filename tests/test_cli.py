@@ -144,6 +144,18 @@ def test_bad_real_input_rejected(capsys, tmp_path, phantom_pgm, flag, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_nonfinite_sigma_rejected(capsys, tmp_path, phantom_pgm, sigma):
+    out = tmp_path / "recon.pgm"
+    code = main(["denoise", "--input", str(phantom_pgm), "--output", str(out),
+                 "--k-out", "1", "--sigma", sigma])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "sigma must be finite and nonnegative" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_archive_path(tmp_path, phantom_pgm):
     code = main(["denoise", "--input", str(phantom_pgm),
                  "--output", str(tmp_path / "y.pgm"),

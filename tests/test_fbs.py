@@ -11,7 +11,7 @@ from mmrsafi.phantom import make_phantom
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import admm_full_oracle
-from mmrsafi.prox import (ConstraintSet, WeightedAnalysisOperator,
+from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
                           prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
                              mask_safi)
@@ -222,10 +222,13 @@ def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
     counted_H, counted_L = Counting(H), Counting(L)
     res = fbs_solve(counted_H, y, counted_L, 1e-2, np.zeros((16, 16)), 2,
                     cfg, X, warm_u=warm_u)
-    assert res.iterations == 40 and res.prox_iterations > 40
+    # Every converged prox call gets one certificate check (one L.forward);
+    # a call that spends the step's budget gets none.
+    gap_checks = res.prox_calls - res.prox_unconverged
+    assert res.prox_calls > res.iterations and res.prox_unconverged > 0
     assert counted_L.calls["adjoint"] == res.prox_iterations + 1
-    assert counted_L.calls["forward"] == res.prox_iterations
-    assert counted_H.calls == {"adjoint": 1, "normal": 40}
+    assert counted_L.calls["forward"] == res.prox_iterations + gap_checks
+    assert counted_H.calls == {"adjoint": 1, "normal": res.iterations}
 
     # The same solve with L^T u recomputed at every warm start.
     def recomputing(*args, warm_adjoint=None, **kwargs):
@@ -235,10 +238,50 @@ def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
     counted_L = Counting(L)
     ref = fbs_solve(H, y, counted_L, 1e-2, np.zeros((16, 16)), 2, cfg, X,
                     warm_u=warm_u)
-    assert counted_L.calls["adjoint"] == ref.prox_iterations + 40
+    assert counted_L.calls["adjoint"] == ref.prox_iterations + ref.prox_calls
     assert ref.prox_iterations == res.prox_iterations
+    assert ref.prox_calls == res.prox_calls
     assert np.array_equal(ref.x, res.x)
     assert np.array_equal(ref.dual, res.dual)
+
+
+def test_certified_prox_converges_near_a_tight_solve():
+    n = 32
+    H = MaskedDftOp(make_cartesian_mask(n, 4, 0.08, Rng(1)), n, n)
+    y = add_noise(H.forward(make_phantom(n)), 2e-3, Rng(2))
+    L = WeightedAnalysisOperator(difference_bank(), np.ones((2, n, n)))
+    X = ConstraintSet.box(0.0, 1.0)
+    cfg = SolverConfig()
+    res = fbs_solve(H, y, L, 1e-2, np.zeros((n, n)), 2, cfg, X)
+    assert res.converged and res.iterations < cfg.k_fbs
+    assert res.prox_unconverged == 0 and res.prox_gap >= 0.0
+    # The tight solve starts at res.x to stay cheap (about 1.5 s instead of
+    # 9 s); started from zero with eps_fbs=1e-7 it lands 3e-6 away.
+    tight = SolverConfig(k_fbs=20000, k_prox=5000, eps_fbs=1e-6,
+                         eps_prox=1e-10)
+    ref = fbs_solve(H, y, L, 1e-2, res.x, 2, tight, X, warm_u=res.dual)
+    assert ref.converged
+    assert np.linalg.norm(res.x - ref.x) <= 1e-3 * np.linalg.norm(ref.x)
+
+
+def test_identity_path_makes_no_certificate_check(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("identity path checked a duality gap")
+
+    monkeypatch.setattr(fbs, "duality_gap", no_check)
+    y = Rng(12).gaussian_array((8, 8))
+    L = ones_difference((8, 8))
+    X = ConstraintSet.box(0.0, 1.0)
+    cfg = SolverConfig()
+    res = fbs_solve(IdentityOp(), y, L, 0.3, np.zeros((8, 8)), 2, cfg, X)
+    assert res.iterations == res.prox_calls == 1
+    assert np.isnan(res.prox_gap)
+    # From x = 0 the single step is one direct prox call on y.
+    direct = prox_weighted_l1(y, L, 0.3, X,
+                              ProxConfig(max_iters=cfg.k_prox,
+                                         epsilon=tol_fbs(2)))
+    assert np.array_equal(res.x, direct.x)
+    assert res.prox_iterations == direct.iterations
 
 
 @pytest.mark.parametrize("scheme", ["mmr", "safi"])

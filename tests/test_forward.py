@@ -131,6 +131,12 @@ def test_noise_zero_sigma_and_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+def test_noise_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        add_noise(np.zeros(4), sigma, Rng(5))
+
+
 def test_noise_std():
     z = add_noise(np.zeros(10**6), 25 / 255, Rng(4))
     assert abs(z.std() - 25 / 255) < 0.01 * 25 / 255

@@ -8,7 +8,7 @@ from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import (_ROUNDOFF_FLOOR, ConstraintSet, ProxConfig,
                           WeightedAnalysisOperator, dual_gradient,
-                          prox_weighted_l1)
+                          duality_gap, prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
                              mask_safi)
 
@@ -365,3 +365,37 @@ def test_dual_step_within_inverse_squared_norm(kind, size):
     # Roundoff in the exact norms and in reading the step off is ~1e-15.
     assert alpha * exact ** 2 <= 1.0 + 1e-12
 
+
+
+@pytest.mark.parametrize("X", [ConstraintSet.all_space(),
+                               ConstraintSet.box(0.0, 1.0)],
+                         ids=["all_space", "box"])
+def test_duality_gap_is_the_exact_gap(X):
+    rng = Rng(61)
+    bank = difference_bank()
+    for _ in range(20):
+        z = rng.gaussian_array((8, 8))
+        gamma = 0.05 + rng.uniform()
+        L = WeightedAnalysisOperator(bank, rng.uniform_array((2, 8, 8)))
+        u = np.clip(rng.gaussian_array((2, 8, 8)), -gamma, gamma)
+        r = z - L.adjoint(u)
+        x = X.project(r)
+        gap, primal = duality_gap(L, gamma, z, x, u)
+        # Dual value min_{w in X} 0.5||w - z||^2 + <u, L w>, in closed form.
+        dual = 0.5 * (np.sum(z ** 2) - np.sum(r ** 2)
+                      + np.sum((r - x) ** 2))
+        assert gap >= 0.0
+        assert abs(primal - gap - dual) <= 1e-12 * primal
+
+
+def test_duality_gap_vanishes_at_a_tight_prox():
+    rng = Rng(62)
+    bank = difference_bank()
+    for i in range(6):
+        z = rng.gaussian_array((8, 8))
+        L = WeightedAnalysisOperator(bank, rng.uniform_array((2, 8, 8)))
+        gamma = (0.05, 0.3, 1.0)[i % 3]
+        X = (ConstraintSet.all_space(), ConstraintSet.box(0.0, 1.0))[i % 2]
+        res = prox_weighted_l1(z, L, gamma, X, TIGHT)
+        gap, primal = duality_gap(L, gamma, z, res.x, res.dual)
+        assert 0.0 <= gap <= 1e-9 * primal
