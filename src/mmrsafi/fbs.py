@@ -29,8 +29,13 @@ class SolverConfig:
     eps_prox: float = None   # fixed prox tolerance; None follows the schedule
 
     def __post_init__(self):
-        if min(self.k_out, self.k_fbs, self.k_prox) < 1 or self.eps_out <= 0:
-            raise ValueError("solver budgets and tolerance must be positive")
+        if min(self.k_out, self.k_fbs, self.k_prox) < 1:
+            raise ValueError("solver budgets must be positive")
+        for name in ("eps_out", "eps_fbs", "eps_prox"):
+            eps = getattr(self, name)
+            if eps is not None and not 0 < eps < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {eps}")
 
 
 @dataclass

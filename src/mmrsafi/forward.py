@@ -50,7 +50,6 @@ class MaskedDftOp:
             raise ValueError("mask keeps no columns")
         if height & (height - 1) or width & (width - 1):
             raise ValueError("image dimensions must be powers of two")
-        self.column_mask = column_mask
         self.normal_is_identity = bool(column_mask.all())
         self.height = height
         self.width = width

@@ -358,11 +358,16 @@ def operator_norm(forward, adjoint, in_shape, iters=100, rng=None):
     return float(np.sqrt(lam))
 
 
-def dense_matrix_of(apply_fn, in_shape, max_dim=4096):
+# Largest input dimension the dense oracle will materialize.
+_DENSE_MAX_DIM = 4096
+
+
+def dense_matrix_of(apply_fn, in_shape):
     """Materialize a linear map column by column (oracle support)."""
     n = int(np.prod(in_shape))
-    if n > max_dim:
-        raise ValueError(f"input dimension {n} exceeds oracle cap {max_dim}")
+    if n > _DENSE_MAX_DIM:
+        raise ValueError(
+            f"input dimension {n} exceeds oracle cap {_DENSE_MAX_DIM}")
     cols = []
     basis = np.zeros(in_shape)
     flat = basis.reshape(-1)

@@ -30,8 +30,9 @@ class ConstraintSet:
     def __init__(self, lower=None, upper=None):
         if (lower is None) != (upper is None):
             raise ValueError("box needs both bounds")
-        if lower is not None and lower > upper:
-            raise ValueError("box lower bound exceeds upper bound")
+        if lower is not None and not lower <= upper:
+            raise ValueError(f"box bounds need lower <= upper, got "
+                             f"lower={lower}, upper={upper}")
         self.lower = lower
         self.upper = upper
 

@@ -200,15 +200,18 @@ SIGMA_GRID_M = 20
 SIGMA_GRID_DELTA = 0.05
 PHI_GRID_M = 10
 PHI_GRID_DELTA = 0.1
+TV_EPS0 = 0.1             # scale of the default TV potentials
+SAFI_GAIN = 2.0           # phi3 logit at zero gradient activity
+SAFI_SENSITIVITY = 4.0    # phi3 logit decrease per unit activity
 
 
-def default_tv_model(lam=0.1, eps0=0.1):
+def default_tv_model(lam=0.1):
     """Iteratively reweighted TV: difference filters, box smoothing, and
-    potentials sampled from 1/(1 + t/eps0)."""
+    potentials sampled from 1/(1 + t/TV_EPS0)."""
     W = difference_bank()
     B = box_bank(2, size=3)
     grid = SIGMA_GRID_DELTA * np.arange(SIGMA_GRID_M + 1)
-    d = project_nonincreasing(1.0 / (1.0 + grid / eps0))
+    d = project_nonincreasing(1.0 / (1.0 + grid / TV_EPS0))
     potentials = [
         ConcavePotential(HalfLineSpline(SIGMA_GRID_DELTA, d), r=1.0)
         for _ in range(2)
@@ -216,12 +219,12 @@ def default_tv_model(lam=0.1, eps0=0.1):
     return MmrModel(W=W, B=B, potentials=potentials, lam=lam)
 
 
-def default_safi_model(lam=0.1, gain=2.0, sensitivity=4.0):
+def default_safi_model(lam=0.1):
     """Edge-adaptive analytic mask generator on TV difference filters.
 
     The generator measures smoothed gradient activity and maps it through a
     decreasing spline and a sigmoid, so flat regions get masks near
-    sigmoid(gain) and strong edges are penalized less.
+    sigmoid(SAFI_GAIN) and strong edges are penalized less.
     """
     W = difference_bank()
     Wt = difference_bank()
@@ -232,8 +235,8 @@ def default_safi_model(lam=0.1, gain=2.0, sensitivity=4.0):
     phi1 = [LinearSpline(PHI_GRID_DELTA, np.abs(grid)) for _ in range(2)]
     phi2 = [LinearSpline(PHI_GRID_DELTA, grid) for _ in range(2)]
     phi3 = [
-        SigmoidSpline(LinearSpline(PHI_GRID_DELTA,
-                                   gain - sensitivity * np.abs(grid)))
+        SigmoidSpline(LinearSpline(
+            PHI_GRID_DELTA, SAFI_GAIN - SAFI_SENSITIVITY * np.abs(grid)))
         for _ in range(2)
     ]
     return SafiModel(W=W, Wt=Wt, Bt=Bt, Bh=Bh,

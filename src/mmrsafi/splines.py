@@ -87,10 +87,12 @@ def project_nonincreasing(d):
 class ConcavePotential:
     """Increasing concave potential given through its derivative.
 
-    The derivative is psi'(x) = clip_[0,1](sigma(r*x)) with sigma a projected
-    half-line spline, so psi'(0) = 1, psi' is non-increasing and in [0, 1].
-    The potential itself is recovered in closed form per linear piece of the
-    derivative (psi is piecewise quadratic with psi(0) = 0).
+    The derivative is psi'(x) = clip_[0,1](sigma(r*x)) and psi(x) is its
+    integral from 0.  With sigma a projected half-line spline, psi'(0) = 1
+    and psi' is non-increasing, so psi is concave.  The knots are the sigma
+    grid refined by every point where sigma crosses 0 or 1: between two
+    knots the clipped derivative is linear, so psi is exactly quadratic
+    there, for any sigma, projected or not.
     """
 
     def __init__(self, sigma, r):
@@ -98,18 +100,26 @@ class ConcavePotential:
             raise ValueError("scaling r must be positive")
         self.sigma = sigma
         self.r = float(r)
-        self._knot_integrals = self._integrate_knots()
-
-    def _integrate_knots(self):
-        # Cumulative integral of clip_[0,1](sigma) over the sigma grid,
-        # in grid units (argument u = r*x).
-        d = self.sigma.values
-        delta = self.sigma.delta
-        cum = np.zeros(d.size)
+        # Knots, clipped values, cumulative integrals and slopes in the
+        # argument u = r*x; the appended zero slope is sigma's constant tail.
+        d = sigma.values
+        knots = [0.0]
         for j in range(d.size - 1):
-            cum[j + 1] = cum[j] + _clipped_segment_integral(
-                d[j], d[j + 1], delta, delta)
-        return cum
+            # Points strictly inside the segment where sigma crosses 0 or 1.
+            cuts = sorted((level - d[j]) / (d[j + 1] - d[j])
+                          for level in (0.0, 1.0)
+                          if (d[j] - level) * (d[j + 1] - level) < 0)
+            knots += [(j + t) * sigma.delta for t in cuts]
+            knots.append((j + 1) * sigma.delta)
+        # A crossing that rounds onto a grid point would repeat a knot.
+        knots = np.array(knots)
+        self._knots = knots[np.diff(knots, prepend=-1.0) > 0]
+        v = np.clip(sigma(self._knots), 0.0, 1.0)
+        steps = np.diff(self._knots)
+        self._values = v
+        self._integrals = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * steps)))
+        self._slopes = np.append(np.diff(v) / steps, 0.0)
 
     def derivative(self, x):
         """psi'(x) for x >= 0."""
@@ -123,40 +133,12 @@ class ConcavePotential:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < 0):
             raise ValueError("potential evaluated at negative input")
-        d = self.sigma.values
-        delta = self.sigma.delta
-        m = d.size - 1
         u = self.r * x
-        j = np.minimum((u / delta).astype(np.int64), m)
-        base = self._knot_integrals[j]
-        inside = j < m
-        jj = np.minimum(j, m - 1)
-        partial = _clipped_segment_integral(
-            d[jj], d[jj + 1], delta, u - jj * delta)
-        # Constant extrapolation of sigma beyond the last knot.
-        tail = np.clip(d[m], 0.0, 1.0) * (u - m * delta)
-        out = (base + np.where(inside, partial, tail)) / self.r
+        k = np.searchsorted(self._knots, u, side="right") - 1
+        s = u - self._knots[k]
+        out = (self._integrals[k] + self._values[k] * s
+               + 0.5 * self._slopes[k] * s * s) / self.r
         return out if out.ndim else float(out)
-
-
-def _clipped_segment_integral(d0, d1, delta, s):
-    """Integral of clip_[0,1](linear segment) from 0 to s, s in [0, delta].
-
-    The segment runs from value d0 to d1 over length delta.  Only called for
-    projected coefficients, where d0 <= 1 rules out the upper clip except as
-    a touching point; the lower clip is handled through the crossing point.
-    """
-    d0 = np.asarray(d0, dtype=np.float64)
-    d1 = np.asarray(d1, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    top = np.minimum(d0, 1.0)
-    slope = (np.minimum(d1, 1.0) - top) / delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = np.where(slope < 0, top / np.where(slope < 0, -slope, 1.0),
-                            np.inf)
-    s_eff = np.clip(np.minimum(s, crossing), 0.0, None)
-    area = top * s_eff + 0.5 * slope * s_eff ** 2
-    return np.where(top <= 0, 0.0, np.maximum(area, 0.0))
 
 
 class SigmoidSpline:

@@ -156,6 +156,21 @@ def test_nonfinite_sigma_rejected(capsys, tmp_path, phantom_pgm, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--box", "nan", "1"], "box bounds need lower <= upper"),
+    (["--eps-out", "nan"], "eps_out must be finite and positive")])
+def test_nan_solver_flags_rejected(capsys, tmp_path, phantom_pgm, flags,
+                                   message):
+    out = tmp_path / "recon.pgm"
+    code = main(["denoise", "--input", str(phantom_pgm), "--output", str(out),
+                 "--k-out", "1", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_archive_path(tmp_path, phantom_pgm):
     code = main(["denoise", "--input", str(phantom_pgm),
                  "--output", str(tmp_path / "y.pgm"),

@@ -172,6 +172,13 @@ def test_bad_lambda_rejected(lam):
                   SolverConfig(), ConstraintSet.all_space())
 
 
+@pytest.mark.parametrize("name", ["eps_out", "eps_fbs", "eps_prox"])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-6])
+def test_bad_tolerance_rejected(name, eps):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: eps})
+
+
 def test_prox_counts_summed_over_inner_calls():
     rng = Rng(7)
     H = MatrixOp(rng.gaussian_array((20, 16)) + 2.0 * np.eye(20, 16), (4, 4))

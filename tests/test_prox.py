@@ -43,6 +43,13 @@ def test_projection_cases():
         ConstraintSet.box(1.0, -1.0)
 
 
+@pytest.mark.parametrize("lower, upper", [
+    (np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+def test_nan_box_bounds_rejected(lower, upper):
+    with pytest.raises(ValueError, match="box bounds"):
+        ConstraintSet.box(lower, upper)
+
+
 def test_projection_is_cw_minimizer():
     rng = Rng(1)
     X = ConstraintSet.box(0.0, 1.0)

@@ -115,6 +115,22 @@ def test_potential_matches_quadrature():
             assert pot(x) == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("values, crossings", [
+    ((1.5, 0.5, 0.2), [0.5]),                 # above 1, crossing 1
+    ((1.0, -0.5, 0.5, 0.5), [2.0 / 3.0, 1.5]),  # rises back through 0
+])
+def test_potential_is_the_integral_of_its_derivative(values, crossings):
+    # Unprojected sigma: psi must still be the integral of psi'.
+    pot = ConcavePotential(HalfLineSpline(1.0, values), r=1.0)
+    breaks = np.sort(np.concatenate((np.arange(len(values)), crossings)))
+    for x in (0.5, 1.0, 2.5, 4.0):
+        pieces = np.concatenate(
+            ([0.0], breaks[(breaks > 0) & (breaks < x)], [x]))
+        ref = sum(quad(pot.derivative, a, b, epsabs=1e-14)[0]
+                  for a, b in zip(pieces[:-1], pieces[1:]))
+        assert pot(x) == pytest.approx(ref, abs=1e-12)
+
+
 def test_potential_concavity():
     rng = Rng(33)
     pot = random_potential(rng)
