@@ -11,7 +11,7 @@ import numpy as np
 
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .linops import operator_norm  # noqa: F401
-from .prox import ProxConfig, duality_gap, momentum_next, prox_weighted_l1
+from .prox import ProxConfig, momentum_next, prox_weighted_l1
 
 
 class NumericalError(RuntimeError):
@@ -46,7 +46,6 @@ class FbsResult:
     converged: bool
     prox_iterations: int     # dual iterations summed over the prox calls
     prox_unconverged: int    # prox calls that hit their budget
-    prox_calls: int          # prox calls, certificate continuations included
     prox_gap: float          # G/P of the last prox; nan if it was unchecked
 
 
@@ -75,36 +74,6 @@ def _step_size(H):
     return 1.0 / H.norm ** 2
 
 
-def _prox_step(z, L, gamma, X, eps, budget, dual, dual_adjoint, certify):
-    """One FBS step's prox of z, certified when asked: G/P <= eps.
-
-    The first call stops on the prox's own rule at tolerance eps.  With
-    certify, while its gap exceeds eps * P, the same warm-started dual
-    solve continues with a tenfold smaller tolerance per call, until the
-    gap holds, stops falling, or the budget of dual iterations is spent.
-    Returns the last ProxResult, the dual iterations and calls it took,
-    and the last G/P (nan when none was checked).
-    """
-    pres = prox_weighted_l1(z, L, gamma, X,
-                            ProxConfig(max_iters=budget, epsilon=eps),
-                            warm_u=dual, warm_adjoint=dual_adjoint)
-    used, calls, ratio = pres.iterations, 1, np.nan
-    last_gap, eps_call = np.inf, eps
-    while certify and pres.converged:
-        gap, primal = duality_gap(L, gamma, z, pres.x, pres.dual)
-        ratio = gap / primal if primal > 0.0 else 0.0
-        if gap <= eps * primal or gap >= last_gap or used == budget:
-            break
-        last_gap, eps_call = gap, eps_call / 10.0
-        pres = prox_weighted_l1(
-            z, L, gamma, X, ProxConfig(max_iters=budget - used,
-                                       epsilon=eps_call),
-            warm_u=pres.dual, warm_adjoint=pres.dual_adjoint)
-        used += pres.iterations
-        calls += 1
-    return pres, used, calls, ratio
-
-
 def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     """Accelerated proximal gradient for one reweighted convex problem.
 
@@ -116,12 +85,11 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     the last prox call is returned for warm-starting the next solve.
 
     Accelerated FBS accumulates the errors of its inexact prox steps, so on
-    the multi-step path each prox is certified by its duality gap: it is
-    accepted once G <= eps_prox * P (see prox.duality_gap), and until then
-    the warm-started dual solve continues at a tenfold smaller tolerance
-    per call, within k_prox dual iterations per FBS step.  A certificate
-    check costs one L.forward.  The one-step identity path makes no check:
-    nothing accumulates, and its prox is as accurate as tol_fbs asks.
+    the multi-step path each prox is certified by its duality gap: its dual
+    loop stops once G <= eps_prox * P (prox_weighted_l1 with certify), within
+    k_prox dual iterations per FBS step.  The one-step identity path makes
+    no check: nothing accumulates, and its prox is as accurate as tol_fbs
+    asks.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
@@ -137,7 +105,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     t = 1.0
     dual, dual_adjoint = warm_u, None
     h_adj_y = H.adjoint(y)
-    prox_iters = prox_unconverged = prox_calls = 0
+    prox_iters = prox_unconverged = 0
     prox_gap = np.nan
     for k in range(1, max_iter + 1):
         grad = H.normal(x_tilde) - h_adj_y
@@ -149,13 +117,14 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
                 eps_prox = tol_fbs(k_out)
             else:
                 eps_prox = tol_prox(k_out, k, eps_fbs)
-            pres, iters, calls, prox_gap = _prox_step(
-                z, L, alpha * lam, X, eps_prox, cfg.k_prox, dual,
-                dual_adjoint, certify=not identity)
+            pres = prox_weighted_l1(
+                z, L, alpha * lam, X,
+                ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
+                warm_u=dual, warm_adjoint=dual_adjoint, certify=not identity)
             x_next, dual, dual_adjoint = pres.x, pres.dual, pres.dual_adjoint
-            prox_iters += iters
-            prox_calls += calls
+            prox_iters += pres.iterations
             prox_unconverged += not pres.converged
+            prox_gap = pres.gap
         else:
             x_next = X.project(z)
         if not np.all(np.isfinite(x_next)):
@@ -167,6 +136,6 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
         x, t = x_next, t_next
         if done:
             return FbsResult(x, dual, k, True, prox_iters, prox_unconverged,
-                             prox_calls, prox_gap)
+                             prox_gap)
     return FbsResult(x, dual, max_iter, False, prox_iters, prox_unconverged,
-                     prox_calls, prox_gap)
+                     prox_gap)

@@ -33,7 +33,11 @@ class ParamArchive:
         return self._arrays[name]
 
     def scalar(self, name):
-        return float(self.get(name).reshape(-1)[0])
+        arr = self.get(name)
+        if arr.size != 1:
+            raise ArchiveError(f"array {name!r} must hold one value, "
+                               f"has {arr.size}")
+        return float(arr.reshape(-1)[0])
 
     def names(self):
         return list(self._arrays)
@@ -98,6 +102,8 @@ def archive_read(path):
             raise ArchiveError(f"truncated payload for {name!r}")
         arr = np.frombuffer(data[offset:offset + nbytes], dtype="<f8")
         offset += nbytes
+        if not np.all(np.isfinite(arr)):
+            raise ArchiveError(f"non-finite values in {name!r}")
         archive.add(name, arr.reshape(shape))
     if offset != len(data):
         raise ArchiveError("trailing bytes after payload")
@@ -133,6 +139,9 @@ def pgm_read(path):
         width, height, maxval = (int(f) for f in fields[1:])
     except ValueError as exc:
         raise PgmError(f"malformed PGM header in {path!r}") from exc
+    if width < 1 or height < 1:
+        raise PgmError(f"PGM size must be positive, got {width}x{height} "
+                       f"in {path!r}")
     if maxval == 255:
         dtype, itemsize = np.uint8, 1
     elif maxval == 65535:

@@ -4,9 +4,10 @@ The dual problem is solved with accelerated projected gradient ascent; the
 primal is recovered as Proj_X{z - L^T u}.  Each dual iteration applies L
 once and L^T once: by linearity, the adjoint of the momentum point is the
 same combination of the adjoints of the last two iterates.  The solve stops
-on a relative change of the primal iterate, or on a change at the roundoff
-level of z - L^T u.  The dual iterate is returned so that consecutive
-solves can be warm-started.
+on a relative change of the primal iterate or, when certified, on a small
+duality gap checked every _GAP_CHECK_INTERVAL iterations; either way also on
+a change at the roundoff level of z - L^T u.  The dual iterate is returned
+so that consecutive solves can be warm-started.
 
 The dual step is 1/B^2 for a certified upper bound B >= ||L||_2, which is
 what the accelerated projected gradient method needs to converge.
@@ -22,6 +23,10 @@ from .linops import operator_norm  # noqa: F401
 # Primal changes at most this many machine epsilons times ||z|| are below
 # what z - L^T u resolves, so the stop rule treats them as no change.
 _ROUNDOFF_FLOOR = 4.0
+
+# A certified solve checks its duality gap (one L.forward) every this many
+# iterations; checking every iteration took as many iterations and more time.
+_GAP_CHECK_INTERVAL = 5
 
 
 class ConstraintSet:
@@ -101,6 +106,9 @@ class ProxConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, "
+                             f"got {self.epsilon}")
 
 
 @dataclass
@@ -110,6 +118,7 @@ class ProxResult:
     iterations: int
     converged: bool
     dual_adjoint: np.ndarray   # L^T dual, for a warm start with the same L
+    gap: float                 # G/P at the last gap check; nan if unchecked
 
 
 def dual_gradient(L, X, z, u):
@@ -137,13 +146,19 @@ def _project_into(X, r):
         np.clip(r, X.lower, X.upper, out=r)
 
 
-def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
+def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
+                     certify=False):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
     [-gamma, gamma], momentum t_1 = 1, t_{k+1} = (k+5)/3, and stop rule
     ||x_{k+1} - x_k|| < eps * ||x_k||, or ||x_{k+1} - x_k|| at or below the
     roundoff floor _ROUNDOFF_FLOOR * eps_machine * ||z||.
+
+    With certify, the relative-change rule is replaced by a certificate:
+    every _GAP_CHECK_INTERVAL iterations, stop once the duality gap of the
+    current pair is G <= eps * P (duality_gap, one L.forward).  The result's
+    gap is G/P at the last check (nan when none was made).
 
     a_k = L^T u_k is carried across iterations, and the momentum point
     v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
@@ -166,7 +181,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
         # L vanishes: the penalty is zero and the prox is the projection.
         x = X.project(z)
         return ProxResult(x, np.zeros_like(L.weights), 0, True,
-                          np.zeros_like(z))
+                          np.zeros_like(z), np.nan)
     alpha = 1.0 / bound ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
 
@@ -185,7 +200,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
     _project_into(X, x)
     v[...] = u
     a_v[...] = a
-    t = 1.0
+    t, ratio = 1.0, np.nan
     for k in range(1, cfg.max_iters + 1):
         # v + alpha * dual_gradient(L, X, z, v), with L^T v already known.
         np.subtract(z, a_v, out=r)
@@ -206,9 +221,15 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None):
         _project_into(X, x_next)
         np.subtract(x_next, x, out=delta)
         diff = np.linalg.norm(delta)
-        done = diff < cfg.epsilon * np.linalg.norm(x) or diff <= floor
+        done = diff <= floor
+        if not certify:
+            done = done or diff < cfg.epsilon * np.linalg.norm(x)
+        elif k % _GAP_CHECK_INTERVAL == 0:
+            gap, primal = duality_gap(L, gamma, z, x_next, u_next)
+            ratio = gap / primal if primal > 0.0 else 0.0
+            done = done or gap <= cfg.epsilon * primal
         if done or k == cfg.max_iters:
-            return ProxResult(x_next, u_next, k, bool(done), a_next)
+            return ProxResult(x_next, u_next, k, bool(done), a_next, ratio)
         u, u_next = u_next, (np.empty_like(u) if k == 1 else u)
         a, t = a_next, t_next
         x, x_next = x_next, x

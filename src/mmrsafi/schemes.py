@@ -57,7 +57,6 @@ class SchemeTrace:
     fbs_converged: list = field(default_factory=list)
     prox_iterations: list = field(default_factory=list)   # summed per step
     prox_unconverged: list = field(default_factory=list)  # prox calls at cap
-    prox_calls: list = field(default_factory=list)        # summed per step
     prox_gaps: list = field(default_factory=list)         # G/P of last prox
 
     def record_solve(self, res):
@@ -66,7 +65,6 @@ class SchemeTrace:
         self.fbs_converged.append(res.converged)
         self.prox_iterations.append(res.prox_iterations)
         self.prox_unconverged.append(res.prox_unconverged)
-        self.prox_calls.append(res.prox_calls)
         self.prox_gaps.append(res.prox_gap)
 
 

@@ -4,8 +4,9 @@ import pytest
 from mmrsafi.cli import main
 from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import SolverConfig
-from mmrsafi.fileio import pgm_read
+from mmrsafi.fileio import ParamArchive, archive_write, pgm_read
 from mmrsafi.forward import IdentityOp, add_noise
+from mmrsafi.params import mmr_to_archive
 from mmrsafi.phantom import make_phantom
 from mmrsafi.schemes import default_tv_model, eval_objective, run_mmr
 
@@ -176,3 +177,30 @@ def test_unknown_archive_path(tmp_path, phantom_pgm):
                  "--output", str(tmp_path / "y.pgm"),
                  "--params", str(tmp_path / "missing.bin")])
     assert code != 0
+
+
+def one_nan(array):
+    array = array.copy()
+    array.flat[0] = np.nan
+    return array
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("kind", lambda a: a[:0], "'kind' must hold one value"),
+    ("W.s0", one_nan, "non-finite values in 'W.s0'"),
+    ("sigma.d", one_nan, "non-finite values in 'sigma.d'")])
+def test_bad_archive_rejected(capsys, tmp_path, phantom_pgm, name, edit,
+                              message):
+    archive, source = ParamArchive(), mmr_to_archive(default_tv_model())
+    for key in source.names():
+        value = source.get(key)
+        archive.add(key, edit(value) if key == name else value)
+    params, out = tmp_path / "bad.bin", tmp_path / "recon.pgm"
+    archive_write(params, archive)
+    code = main(["denoise", "--input", str(phantom_pgm), "--output", str(out),
+                 "--k-out", "1", "--params", str(params)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -52,6 +52,25 @@ def test_archive_duplicate_names():
         archive.add("x", np.ones(3))
 
 
+@pytest.mark.parametrize("shape", [(0,), (2,)])
+def test_archive_scalar_needs_one_value(shape):
+    archive = ParamArchive()
+    archive.add("kind", np.zeros(shape))
+    with pytest.raises(ArchiveError, match="must hold one value"):
+        archive.scalar("kind")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_archive_rejects_nonfinite_payload(tmp_path, value):
+    archive = ParamArchive()
+    archive.add("ok", np.ones(3))
+    archive.add("bad", np.array([0.0, value]))
+    path = tmp_path / "nonfinite.bin"
+    archive_write(path, archive)
+    with pytest.raises(ArchiveError, match="non-finite values in 'bad'"):
+        archive_read(path)
+
+
 def test_mmr_model_roundtrip(tmp_path):
     model = default_tv_model(lam=0.07)
     path = tmp_path / "mmr.bin"
@@ -108,6 +127,14 @@ def test_pgm_rejects_malformed(tmp_path):
     odd.write_bytes(b"P5\n1 1\n100\n\x00")
     with pytest.raises(PgmError):
         pgm_read(odd)
+
+
+@pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0", b"-1 -1"])
+def test_pgm_rejects_empty_size(tmp_path, size):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n")
+    with pytest.raises(PgmError, match="size must be positive"):
+        pgm_read(path)
 
 
 def test_trace_csv_layout(tmp_path):

@@ -190,6 +190,12 @@ def test_budget_exhaustion_flagged():
     assert not res.converged and res.iterations == 2
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_epsilon_rejected(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        ProxConfig(epsilon=epsilon)
+
+
 def test_nonfinite_input_rejected():
     L = identity_operator((1, 3))
     with pytest.raises(ValueError):
@@ -406,3 +412,38 @@ def test_duality_gap_vanishes_at_a_tight_prox():
         res = prox_weighted_l1(z, L, gamma, X, TIGHT)
         gap, primal = duality_gap(L, gamma, z, res.x, res.dual)
         assert 0.0 <= gap <= 1e-9 * primal
+
+
+def test_certified_prox_stops_on_its_duality_gap():
+    rng = Rng(63)
+    bank = difference_bank()
+    eps = 1e-6
+    for i in range(6):
+        z = rng.gaussian_array((8, 8))
+        L = WeightedAnalysisOperator(bank, rng.uniform_array((2, 8, 8)))
+        gamma = (0.05, 0.3, 1.0)[i % 3]
+        X = (ConstraintSet.all_space(), ConstraintSet.box(0.0, 1.0))[i % 2]
+        cfg = ProxConfig(max_iters=20000, epsilon=eps)
+        res = prox_weighted_l1(z, L, gamma, X, cfg, certify=True)
+        gap, primal = duality_gap(L, gamma, z, res.x, res.dual)
+        assert res.converged and res.iterations % 5 == 0
+        assert 0.0 <= gap <= eps * primal
+        assert res.gap == gap / primal
+        assert np.isnan(prox_weighted_l1(z, L, gamma, X, cfg).gap)
+
+
+def test_certified_prox_out_of_budget_is_unconverged():
+    rng = Rng(64)
+    L = weighted_difference(rng, (8, 8))
+    z = rng.gaussian_array((8, 8))
+    X = ConstraintSet.all_space()
+    res = prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=7,
+                                                    epsilon=1e-16),
+                           certify=True)
+    assert not res.converged and res.iterations == 7
+    # G/P of the last check, at iteration 5, not of the returned pair.
+    early = prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=5,
+                                                      epsilon=1e-16),
+                             certify=True)
+    gap, primal = duality_gap(L, 0.3, z, early.x, early.dual)
+    assert res.gap == early.gap == gap / primal > 1e-16

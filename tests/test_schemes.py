@@ -303,16 +303,14 @@ def test_trace_reports_inner_solves():
         assert len(trace.prox_iterations) == len(trace.prox_unconverged) == steps
         assert all(3 <= n <= 3 * 50 for n in trace.prox_iterations)
         assert all(0 <= n <= 3 for n in trace.prox_unconverged)
-        # At least one prox call per FBS step, continuations on top.
-        assert all(n >= 3 for n in trace.prox_calls)
         assert len(trace.prox_gaps) == steps
         assert all(g >= 0.0 for g in trace.prox_gaps)
     _, trace = run_cvx(default_tv_model(), IdentityOp(), add_noise(
         phantom, 0.05, Rng(20)), SolverConfig())
     assert trace.fbs_iterations == [1] and trace.fbs_converged == [True]
     assert trace.prox_unconverged == [0] and trace.prox_iterations[0] >= 1
-    # The one-step identity path makes one call and no certificate check.
-    assert trace.prox_calls == [1] and np.isnan(trace.prox_gaps[0])
+    # The one-step identity path makes no certificate check.
+    assert np.isnan(trace.prox_gaps[0])
 
 
 def test_schemes_run_on_a_dense_matrix_operator():
