@@ -67,17 +67,27 @@ class WeightedAnalysisOperator:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 3 or weights.shape[0] != bank.out_channels:
             raise ValueError("weights must be a (channels, h, w) stack")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("mask weights must be finite")
         if np.any(weights < -1e-9):
             raise ValueError("mask weights must be nonnegative")
         self.bank = bank
         self.weights = weights
+        # Scratch shaped like the weights: adjoint forms weights * u here.
+        # Any caller may use it between calls; its contents are not kept.
+        self.workspace = np.empty_like(weights)
         self._norm_bound = None
 
-    def forward(self, x):
-        return self.weights * self.bank.forward(x)
+    def forward(self, x, out=None):
+        """L x; written into out (shaped like the weights) when given."""
+        out = self.bank.forward(x, out=out)
+        return np.multiply(self.weights, out, out=out)
 
-    def adjoint(self, u):
-        return self.bank.adjoint(self.weights * u)
+    def adjoint(self, u, out=None):
+        """L^T u; written into out (shaped like an image) when given.  u may
+        be the workspace."""
+        work = np.multiply(self.weights, u, out=self.workspace)
+        return self.bank.adjoint(work, out=out)
 
     def norm_bound(self):
         """Upper bound max|weights| * ||W||_2 >= ||L||_2, cached.
@@ -126,18 +136,23 @@ def dual_gradient(L, X, z, u):
     return L.forward(X.project(z - L.adjoint(u)))
 
 
-def duality_gap(L, gamma, z, x, u):
+def duality_gap(L, gamma, z, x, u, work=None):
     """Duality gap G and primal value P of the prox at the pair (x, u).
 
     G = gamma*||L x||_1 - <u, L x> and P = 0.5*||x - z||^2 + gamma*||L x||_1,
     for one L.forward.  When x = Proj_X(z - L^T u) and |u| <= gamma, as for
     a ProxResult's x and dual, the dual value at u is P - G, so G >= 0 is
     the exact gap, both on all of R^N and on a box.
+
+    L x is formed in L.workspace, and x - z in work when one is given (an
+    array shaped like x that is overwritten); nothing else is written.
     """
-    lx = L.forward(x)
-    penalty = gamma * float(np.sum(np.abs(lx)))
-    gap = penalty - float(np.vdot(u, lx))
-    return gap, 0.5 * float(np.sum((x - z) ** 2)) + penalty
+    lx = L.forward(x, out=L.workspace)
+    inner = float(np.vdot(u, lx))
+    penalty = gamma * float(np.sum(np.abs(lx, out=lx)))
+    diff = np.subtract(x, z, out=work)
+    distance = float(np.sum(np.square(diff, out=diff)))
+    return penalty - inner, 0.5 * distance + penalty
 
 
 def _project_into(X, r):
@@ -167,11 +182,17 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
     builds up.  warm_adjoint, when given, must be L^T warm_u for this same
     L (the dual_adjoint of an earlier result); it saves the opening L^T.
 
-    The iteration's own arrays are preallocated and updated in place; z,
-    warm_u, warm_adjoint and the arrays of earlier results are only read.
+    The iteration allocates nothing.  Each solve owns six arrays, made when
+    it starts: on the dual side u and v, with the ascent step's L applied
+    into L.workspace; on the primal side a = L^T u, a_v = L^T v, x and
+    x_next.  u_{k+1} is formed in v's buffer and v_{k+1} in u's, likewise
+    a_{k+1} in a_v's and a_{v,k+1} in a's; a_v's buffer first holds
+    Proj_X(z - a_v), and x's the change x_next - x once ||x|| is taken.
+    z, warm_u and warm_adjoint are only read, and the result's arrays are
+    buffers of this solve alone.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite prox input")
@@ -179,7 +200,8 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
     bound = L.norm_bound()
     if bound ** 2 < 1e-30:
         # L vanishes: the penalty is zero and the prox is the projection.
-        x = X.project(z)
+        x = z.copy()
+        _project_into(X, x)
         return ProxResult(x, np.zeros_like(L.weights), 0, True,
                           np.zeros_like(z), np.nan)
     alpha = 1.0 / bound ** 2
@@ -189,47 +211,45 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
         u = L.forward(z)
         a = L.adjoint(u)
     else:
-        u = np.asarray(warm_u, dtype=np.float64)
-        a = L.adjoint(u) if warm_adjoint is None else warm_adjoint
-    # Preallocated iteration arrays.  u_next takes over the buffer of the
-    # u before it, which is free once v is formed, except in the first
-    # iteration: the u there may be warm_u.
-    u_next, v = np.empty_like(u), np.empty_like(u)
-    x, x_next, r, a_v, delta = (np.empty_like(z) for _ in range(5))
-    np.subtract(z, a, out=x)
+        u = np.array(warm_u, dtype=np.float64)
+        a = (L.adjoint(u) if warm_adjoint is None
+             else np.array(warm_adjoint, dtype=np.float64))
+    v, a_v = u.copy(), a.copy()
+    x, x_next = np.subtract(z, a), np.empty_like(z)
     _project_into(X, x)
-    v[...] = u
-    a_v[...] = a
+    lr = L.workspace
     t, ratio = 1.0, np.nan
     for k in range(1, cfg.max_iters + 1):
-        # v + alpha * dual_gradient(L, X, z, v), with L^T v already known.
-        np.subtract(z, a_v, out=r)
-        _project_into(X, r)
-        np.multiply(L.forward(r), alpha, out=u_next)
-        np.add(v, u_next, out=u_next)
-        np.clip(u_next, -gamma, gamma, out=u_next)
-        a_next = L.adjoint(u_next)
+        # u_{k+1} = clip(v + alpha * L Proj_X(z - L^T v)), in v's buffer;
+        # Proj_X(z - L^T v) is formed in a_v's, which a_{k+1} takes next.
+        np.subtract(z, a_v, out=a_v)
+        _project_into(X, a_v)
+        np.multiply(L.forward(a_v, out=lr), alpha, out=lr)
+        np.add(v, lr, out=v)
+        u_next = np.clip(v, -gamma, gamma, out=v)
+        a_next = L.adjoint(u_next, out=a_v)
         t_next = momentum_next(k)
         beta = (t - 1.0) / t_next
-        np.subtract(u_next, u, out=v)
-        np.multiply(v, beta, out=v)
-        np.add(u_next, v, out=v)
-        np.subtract(a_next, a, out=a_v)
-        np.multiply(a_v, beta, out=a_v)
-        np.add(a_next, a_v, out=a_v)
-        np.subtract(z, a_next, out=x_next)
+        # v_{k+1} in u's buffer, and its adjoint in a's.
+        np.subtract(u_next, u, out=u)
+        np.multiply(u, beta, out=u)
+        np.add(u_next, u, out=u)
+        np.subtract(a_next, a, out=a)
+        np.multiply(a, beta, out=a)
+        np.add(a_next, a, out=a)
+        u, v, a, a_v, t = u_next, u, a_next, a, t_next
+        np.subtract(z, a, out=x_next)
         _project_into(X, x_next)
-        np.subtract(x_next, x, out=delta)
-        diff = np.linalg.norm(delta)
+        relative = None if certify else cfg.epsilon * np.linalg.norm(x)
+        # x_k is no longer needed: its buffer takes the change.
+        diff = np.linalg.norm(np.subtract(x_next, x, out=x))
         done = diff <= floor
         if not certify:
-            done = done or diff < cfg.epsilon * np.linalg.norm(x)
+            done = done or diff < relative
         elif k % _GAP_CHECK_INTERVAL == 0:
-            gap, primal = duality_gap(L, gamma, z, x_next, u_next)
+            gap, primal = duality_gap(L, gamma, z, x_next, u, x)
             ratio = gap / primal if primal > 0.0 else 0.0
             done = done or gap <= cfg.epsilon * primal
         if done or k == cfg.max_iters:
-            return ProxResult(x_next, u_next, k, bool(done), a_next, ratio)
-        u, u_next = u_next, (np.empty_like(u) if k == 1 else u)
-        a, t = a_next, t_next
+            return ProxResult(x_next, u, k, bool(done), a, ratio)
         x, x_next = x_next, x

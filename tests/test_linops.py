@@ -315,3 +315,62 @@ def test_matrix_op_norm_is_exact():
     assert MatrixOp(A, (12,)).norm == pytest.approx(jacobi_svd_norm(A),
                                                     abs=1e-12)
 
+
+
+def out_test_banks():
+    rng = Rng(41)
+    return {
+        "stencil": difference_bank(),
+        "stencil-c_in-3": FilterBank(
+            [ConvStage(sparse_kernels(rng, (3, 1, 3, 3)), 3)]),
+        "spectral": FilterBank([ConvStage(rng.gaussian_array((3, 1, 7, 7)),
+                                          1)]),
+        "spectral-c_in-2": FilterBank(
+            [ConvStage(rng.gaussian_array((2, 2, 7, 7)), 1)]),
+        "two-stage": FilterBank([
+            ConvStage(sparse_kernels(rng, (2, 1, 3, 3)), 1),
+            ConvStage(rng.gaussian_array((2, 2, 7, 7)), 1)]),
+    }
+
+
+@pytest.mark.parametrize("name", list(out_test_banks()))
+def test_out_is_filled_and_returned(name):
+    # Forward outputs are 3-D; adjoint outputs are 2-D for one input
+    # channel and 3-D otherwise.  The input and out may be strided views.
+    bank = out_test_banks()[name]
+    expect = {"stencil": _StencilStage, "stencil-c_in-3": _StencilStage,
+              "spectral": _SpectralStage, "spectral-c_in-2": _SpectralStage}
+    if name in expect:
+        assert type(bank._appliers[0]) is expect[name]
+    rng = Rng(42)
+    shape = (8, 8)
+    x = rng.gaussian_array(shape if bank.in_channels == 1
+                           else (bank.in_channels,) + shape)
+    s = rng.gaussian_array((bank.out_channels,) + shape)
+    for apply, arg in ((bank.forward, x), (bank.adjoint, s)):
+        ref = apply(arg)
+        assert ref.ndim == (2 if apply == bank.adjoint and
+                            bank.in_channels == 1 else 3)
+        strided = np.zeros(arg.shape[:-1] + (2 * shape[1],))
+        strided[..., ::2] = arg
+        assert np.array_equal(apply(strided[..., ::2]), ref)
+        for out in (np.full(ref.shape, np.nan),
+                    np.full(ref.shape[:-1] + (2 * shape[1],), np.nan)[..., ::2]):
+            assert apply(arg, out=out) is out
+            assert np.array_equal(out, ref)
+
+
+def test_bad_out_rejected():
+    bank = difference_bank()
+    rng = Rng(43)
+    x = rng.gaussian_array((8, 8))
+    s = rng.gaussian_array((2, 8, 8))
+    for out in (np.empty((3, 8, 8)), np.empty((2, 8, 9)),
+                np.empty((2, 8, 8), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            bank.forward(x, out=out)
+    # One input channel: the adjoint's out is 2-D, like its result.
+    with pytest.raises(ValueError, match="out must be"):
+        bank.adjoint(s, out=np.empty((1, 8, 8)))
+    with pytest.raises(ValueError, match="overlaps"):
+        bank.adjoint(s, out=s[1])

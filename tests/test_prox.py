@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,22 +208,140 @@ def test_nonfinite_input_rejected():
                          ConstraintSet.all_space(), TIGHT)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_weights_rejected(bad):
+    weights = np.ones((2, 4, 4))
+    weights[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        WeightedAnalysisOperator(difference_bank(), weights)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_gamma_rejected(gamma):
+    L = weighted_difference(Rng(20), (4, 4))
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        prox_weighted_l1(np.zeros((4, 4)), L, gamma,
+                         ConstraintSet.all_space(), TIGHT)
+
+
+def test_weighted_operator_out():
+    rng = Rng(21)
+    L = weighted_difference(rng, (8, 8))
+    x = rng.gaussian_array((8, 8))
+    u = rng.gaussian_array((2, 8, 8))
+    out = np.full((2, 8, 8), np.nan)
+    assert L.forward(x, out=out) is out
+    assert np.array_equal(out, L.forward(x))
+    assert np.array_equal(out, L.weights * L.bank.forward(x))
+    out = np.full((8, 8), np.nan)
+    assert L.adjoint(u, out=out) is out
+    assert np.array_equal(out, L.adjoint(u))
+    assert np.array_equal(out, L.bank.adjoint(L.weights * u))
+    # The adjoint may be applied to its own workspace.
+    np.copyto(L.workspace, u)
+    assert np.array_equal(L.adjoint(L.workspace), out)
+    with pytest.raises(ValueError, match="out must be"):
+        L.forward(x, out=np.empty((8, 8)))
+
+
+def prox_arrays(res):
+    return [res.x, res.dual, res.dual_adjoint]
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_warm_started_solve_reads_its_inputs_only(certify):
+    rng = Rng(22)
+    L = weighted_difference(rng, (8, 8))
+    X = ConstraintSet.box(0.0, 1.0)
+    cfg = ProxConfig(max_iters=40, epsilon=1e-12)
+    cold = prox_weighted_l1(rng.gaussian_array((8, 8)), L, 0.3, X, cfg)
+    z = rng.gaussian_array((8, 8))
+    inputs = [z, cold.dual, cold.dual_adjoint]
+    copies = [a.copy() for a in inputs]
+    for adjoint in (cold.dual_adjoint, None):
+        warm = prox_weighted_l1(z, L, 0.3, X, cfg, warm_u=cold.dual,
+                                warm_adjoint=adjoint, certify=certify)
+        assert warm.iterations == 40 or warm.converged
+        for a, kept in zip(inputs, copies):
+            assert np.array_equal(a, kept)
+
+
+def test_results_share_no_memory():
+    # Each solve's arrays are its own: no result aliases another result,
+    # an input, or the operator's workspace.
+    rng = Rng(23)
+    L = weighted_difference(rng, (8, 8))
+    X = ConstraintSet.all_space()
+    cfg = ProxConfig(max_iters=30, epsilon=1e-12)
+    z = rng.gaussian_array((8, 8))
+    results = [prox_weighted_l1(z, L, 0.3, X, cfg)]
+    for max_iters in (1, 2, 7, 8):
+        last = results[-1]
+        results.append(prox_weighted_l1(
+            z, L, 0.3, X, ProxConfig(max_iters=max_iters), warm_u=last.dual,
+            warm_adjoint=last.dual_adjoint, certify=max_iters > 2))
+    zero = WeightedAnalysisOperator(difference_bank(), np.zeros((2, 8, 8)))
+    results.append(prox_weighted_l1(z, zero, 0.3, X, cfg))
+    arrays = [a for res in results for a in prox_arrays(res)]
+    others = [z, L.workspace, L.weights, zero.workspace]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:] + others:
+            assert not np.shares_memory(a, b)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_dual_iteration_allocates_nothing(certify):
+    # A solve makes its buffers once: u and v (two channels each) and four
+    # images, eight image-sized arrays in all.  Its peak memory is the same
+    # for 10 and for 200 dual iterations: an array made per iteration would
+    # add at least one 32 KB image, while Python's own small objects move
+    # the peak by a few bytes.
+    rng = Rng(24)
+    shape = (64, 64)
+    L = weighted_difference(rng, shape)
+    X = ConstraintSet.box(0.0, 1.0)
+    z = rng.gaussian_array(shape)
+    # Fill the bank's per-shape caches (norm, stencil plans) first.
+    prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=5), certify=certify)
+    peaks = []
+    for max_iters in (10, 200):
+        cfg = ProxConfig(max_iters=max_iters, epsilon=1e-16)
+        res = []
+        peaks.append(traced_peak(lambda: res.append(prox_weighted_l1(
+            z, L, 0.3, X, cfg, certify=certify))))
+        assert res[0].iterations == max_iters
+    image = z.nbytes
+    assert abs(peaks[1] - peaks[0]) < 1024
+    assert peaks[1] <= 8 * image + image // 4
+
+
 class CountingOperator:
     """Delegates to a weighted operator and counts forward/adjoint calls."""
 
     def __init__(self, L):
         self.L = L
         self.weights = L.weights
+        self.workspace = L.workspace
         self.forward_calls = 0
         self.adjoint_calls = 0
 
-    def forward(self, x):
+    def forward(self, x, out=None):
         self.forward_calls += 1
-        return self.L.forward(x)
+        return self.L.forward(x, out=out)
 
-    def adjoint(self, u):
+    def adjoint(self, u, out=None):
         self.adjoint_calls += 1
-        return self.L.adjoint(u)
+        return self.L.adjoint(u, out=out)
 
     def norm_bound(self):
         return self.L.norm_bound()
