@@ -104,16 +104,14 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     x_tilde = x
     t = 1.0
     dual, dual_adjoint = warm_u, None
-    # The one-step identity path forms H^T y in its step instead, so that
-    # the array is not held through the prox.
-    h_adj_y = None if identity else H.adjoint(y)
+    h_adj_y = H.adjoint(y)
     prox_iters = prox_unconverged = 0
     prox_gap = np.nan
     for k in range(1, max_iter + 1):
         # z = x_tilde - alpha * (H^T H x_tilde - H^T y), formed in the
         # new array that H.normal returns.
         z = H.normal(x_tilde)
-        np.subtract(z, H.adjoint(y) if identity else h_adj_y, out=z)
+        np.subtract(z, h_adj_y, out=z)
         np.multiply(z, alpha, out=z)
         np.subtract(x_tilde, z, out=z)
         if lam > 0.0:

@@ -4,16 +4,15 @@ Banks are stacks of periodic (circular) 2-D correlation stages.  Periodic
 boundaries keep adjoints exact, make zero-mean kernels annihilate constants,
 and give positive-normalized kernels exact row and column sums of one.
 Stages with few nonzero taps per channel are applied directly as periodic
-stencils, each tap a shifted read of the input in place (no padded copy),
-planned once per image shape; dense multi-channel stages go through FFT
-multipliers cached per image shape.  A bank's forward and adjoint write
-into a caller's out array when given one.  Periodic banks are
-block-circulant, so their spectral norm is exact from one impulse response
-per input channel.  A direct dense materialization is available for
-oracle-scale checks.
+stencils; dense multi-channel stages go through FFT multipliers cached per
+image shape.  A bank's forward and adjoint write into a caller's out array
+when given one.  Periodic banks are block-circulant, so their spectral norm
+is exact from one impulse response per input channel.  A direct dense
+materialization is available for oracle-scale checks.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +110,8 @@ class FilterBank:
         if x.shape[0] != self.in_channels:
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {x.shape[0]}")
-        out = _checked_out(out, (self.out_channels,) + x.shape[1:], x)
+        if out is not None:
+            _check_out(out, (self.out_channels,) + x.shape[1:])
         for app in self._appliers[:-1]:
             x = app.forward(x)
         return self._appliers[-1].forward(x, out)
@@ -125,10 +125,15 @@ class FilterBank:
         if s.shape[0] != self.out_channels:
             raise ValueError(
                 f"expected {self.out_channels} channels, got {s.shape[0]}")
-        shape = (self.in_channels,) + s.shape[1:]
-        out = _checked_out(out, shape[1:] if shape[0] == 1 else shape, s)
+        if out is not None:
+            shape = s.shape[1:]
+            _check_out(out, shape if self.in_channels == 1
+                       else (self.in_channels,) + shape)
         for app in self._appliers[:0:-1]:
             s = app.adjoint(s)
+        if out is None:
+            x = self._appliers[0].adjoint(s)
+            return x[0] if self.in_channels == 1 else x
         self._appliers[0].adjoint(s, out[None] if out.ndim == 2 else out)
         return out
 
@@ -156,17 +161,11 @@ class FilterBank:
         return self._norms[shape]
 
 
-def _checked_out(out, shape, x):
-    """out, or a new array of the shape; out must have exactly this shape
-    and must not overlap the input x."""
-    if out is None:
-        return np.empty(shape)
+def _check_out(out, shape):
+    """Raise unless out is a float64 array of exactly this shape."""
     if out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
-    if np.may_share_memory(out, x):
-        raise ValueError("out overlaps the input")
-    return out
 
 
 # Direct stencils cost one array operation per nonzero tap; FFT multipliers
@@ -183,18 +182,46 @@ def _applier(stage):
     return _SpectralStage(stage)
 
 
-def _tap_plan(taps, channels):
-    """Group (target, source, dy, dx, weight) taps by target channel.
+@lru_cache(maxsize=32)
+def _wrap_index(h, w, r):
+    """Flat indices of an h-by-w periodic image padded by r on every side.
 
-    Returns one list per target channel of (source, dy, dx, weight) in the
-    given summation order, where the tap reads source[i + dy, j + dx]
-    (periodically) for output pixel (i, j).  When the first two taps are +-1
-    of opposite signs they are merged into one entry (source, dy, dx,
-    source2, dy2, dx2) meaning "first minus second".
+    Modular indices stay correct when r exceeds the image size.
+    """
+    rows = np.arange(-r, h + r) % h
+    cols = np.arange(-r, w + r) % w
+    index = rows[:, None] * w + cols
+    index.flags.writeable = False     # shared by every caller of the cache
+    return index
+
+
+def _wrap_pad(x, r):
+    """Periodic padding by r on every side of each channel of x."""
+    c, h, w = x.shape
+    if r > h or r > w:
+        # The pad wraps around the image more than once.
+        return np.take(x.reshape(c, h * w), _wrap_index(h, w, r), axis=1)
+    xp = np.empty((c, h + 2 * r, w + 2 * r))
+    xp[:, r:r + h, r:r + w] = x
+    if r:
+        xp[:, r:r + h, :r] = x[:, :, w - r:]
+        xp[:, r:r + h, r + w:] = x[:, :, :r]
+        xp[:, :r] = xp[:, h:h + r]
+        xp[:, r + h:] = xp[:, r:2 * r]
+    return xp
+
+
+def _tap_plan(taps, channels):
+    """Group (target, source, row, col, weight) taps by target channel.
+
+    Returns one list per target channel of (source, row, col, weight) in
+    the given summation order.  When the first two taps are +-1 of opposite
+    signs they are merged into one entry (source, row, col, source2, row2,
+    col2) meaning "first minus second".
     """
     plan = [[] for _ in range(channels)]
-    for target, src, dy, dx, v in taps:
-        plan[target].append((src, dy, dx, v))
+    for target, src, a, b, v in taps:
+        plan[target].append((src, a, b, v))
     for ops in plan:
         if len(ops) >= 2 and {ops[0][3], ops[1][3]} == {-1.0, 1.0}:
             pos, neg = ops[:2] if ops[0][3] == 1.0 else ops[1::-1]
@@ -202,185 +229,68 @@ def _tap_plan(taps, channels):
     return plan
 
 
-def _signed(d, n):
-    """d mod n as its representative of least magnitude."""
-    d %= n
-    return d - n if d > n // 2 else d
+def _apply_plan(plan, xp, h, w, out=None):
+    """out[c] = sum over plan[c] of weight * xp[source, row:+h, col:+w],
+    into a new array unless out is given.
 
-
-def _runs(shifts, n):
-    """Split the flat range [0, n) into the runs on which no cyclic shift
-    s wraps around.  Yields (start, stop, sources): per shift, the slice it
-    reads, [start + s, stop + s) without a wrap."""
-    cuts = sorted({0, n} | {n - s for s in shifts if s})
-    for k0, k1 in zip(cuts, cuts[1:]):
-        yield k0, k1, [slice((k0 + s) % n, (k0 + s) % n + k1 - k0)
-                       for s in shifts]
-
-
-def _blocks(shifts, h, w, c0, c1):
-    """Split columns [c0, c1) of an h-by-w image into the blocks on which no
-    periodic shift (dy, dx), 0 <= dy < h, wraps around.
-
-    Yields (rows, cols, sources): the block's slices, and per shift the
-    slices it reads, (rows + dy, cols + dx) without a wrap.
+    Equals the sum started from 0 and taken in plan order, up to the sign
+    of zero: +-1 taps are added or subtracted without a product.
     """
-    rows = sorted({0, h} | {h - dy for dy, _ in shifts if dy})
-    cols = sorted({c0, c1} | {w - dx % w for _, dx in shifts
-                              if c0 < w - dx % w < c1})
-    for r0, r1 in zip(rows, rows[1:]):
-        for b0, b1 in zip(cols, cols[1:]):
-            yield (slice(r0, r1), slice(b0, b1),
-                   [(slice((r0 + dy) % h, (r0 + dy) % h + r1 - r0),
-                     slice((b0 + dx) % w, (b0 + dx) % w + b1 - b0))
-                    for dy, dx in shifts])
-
-
-# Instructions of a plan: (code, flat, target, source, operand).  target and
-# source index the (channel, row, column) view of the arrays, or their
-# (channel, pixel) view when flat; the operand is a second source or a
-# weight.
-_DIFF, _ADD, _SUB, _MUL_ADD, _COPY, _NEG, _MUL, _ZERO = range(8)
-
-
-def _stencil_code(plan, h, w):
-    """The instructions that apply a tap plan to h-by-w channels."""
-    code = []
-    for target, ops in enumerate(plan):
-        if not ops:
-            code.append((_ZERO, True, target, None, None))
-        for i, op in enumerate(ops):
-            if len(op) == 6:
-                kind, operand = _DIFF, None
-                reads = [op[:3], op[3:]]
-            else:
-                operand = op[3]
-                kind = ({1.0: _COPY, -1.0: _NEG}.get(operand, _MUL) if i == 0
-                        else {1.0: _ADD, -1.0: _SUB}.get(operand, _MUL_ADD))
-                reads = [op[:3]]
-            code += _tap_code(kind, target, reads, operand, i == 0, h, w)
-    return code
-
-
-def _tap_code(kind, target, reads, operand, starts_sum, h, w):
-    """Instructions for one tap (or merged pair) reading (source, dy, dx).
-
-    On the row-major flattened image a shift (dy, dx) is a cyclic shift by
-    dy * w + dx, exact except in the columns where j + dx leaves [0, w):
-    the column-wrap strip.  So a tap runs as contiguous flat runs; when it
-    has a strip, a tap that starts its sum overwrites the strip afterwards
-    with blocks, and one that adds to the sum runs as blocks throughout.
-    """
-    n = h * w
-    channels = [src for src, _, _ in reads]
-    shifts = [(dy % h, _signed(dx, w)) for _, dy, dx in reads]
-    left = max([-dx for _, dx in shifts] + [0])
-    right = max([dx for _, dx in shifts] + [0])
-    flat = left + right == 0 or (starts_sum and left + right < w)
-    strips = ([c for c in ((0, left), (w - right, w)) if c[0] < c[1]]
-              if flat else [(0, w)])
-
-    def instruction(is_flat, dst, sources):
-        src = [(c,) + sl for c, sl in zip(channels, sources)]
-        return (kind, is_flat, (target,) + dst, src[0],
-                src[1] if len(src) == 2 else operand)
-
-    code = []
-    if flat:
-        for k0, k1, sources in _runs([(dy * w + dx) % n
-                                      for dy, dx in shifts], n):
-            c0, c1 = k0 % w, (k1 - 1) % w + 1
-            if k0 // w == (k1 - 1) // w and any(
-                    a <= c0 and c1 <= b for a, b in strips):
-                continue        # overwritten by the strip below
-            code.append(instruction(True, (slice(k0, k1),),
-                                    [(sl,) for sl in sources]))
-    for c0, c1 in strips:
-        for rows, cols, sources in _blocks(shifts, h, w, c0, c1):
-            code.append(instruction(False, (rows, cols), sources))
-    return code
-
-
-def _run_stencil(code, x, out):
-    """out[c] = sum over the taps of c of weight * shifted x[source].
-
-    Equals the sum started from 0 and taken in tap order, up to the sign of
-    zero: +-1 taps are added or subtracted without a product.
-    """
-    if not out.flags.c_contiguous:
-        np.copyto(out, _run_stencil(code, x, np.empty(out.shape)))
-        return out
-    views = ((x, out), (x.reshape(len(x), -1), out.reshape(len(out), -1)))
+    if out is None:
+        out = np.empty((len(plan), h, w))
     tmp = None
-    for kind, flat, o, a, b in code:
-        xs, outs = views[flat]
-        if kind == _DIFF:
-            np.subtract(xs[a], xs[b], out=outs[o])
-        elif kind == _ADD:
-            acc = outs[o]
-            np.add(acc, xs[a], out=acc)
-        elif kind == _SUB:
-            acc = outs[o]
-            np.subtract(acc, xs[a], out=acc)
-        elif kind == _MUL_ADD:
-            if tmp is None:
-                tmp = np.empty(out.shape[1:])
-                tmps = (tmp, tmp.reshape(-1))
-            acc, prod = outs[o], tmps[flat][o[1:]]
-            np.multiply(xs[a], b, out=prod)
-            np.add(acc, prod, out=acc)
-        elif kind == _COPY:
-            np.copyto(outs[o], xs[a])
-        elif kind == _NEG:
-            np.negative(xs[a], out=outs[o])
-        elif kind == _MUL:
-            np.multiply(xs[a], b, out=outs[o])
-        else:
-            outs[o].fill(0.0)
+    for acc, ops in zip(out, plan):
+        if not ops:
+            acc.fill(0.0)
+        for n, op in enumerate(ops):
+            s = xp[op[0], op[1]:op[1] + h, op[2]:op[2] + w]
+            if len(op) == 6:
+                np.subtract(s, xp[op[3], op[4]:op[4] + h, op[5]:op[5] + w],
+                            out=acc)
+            elif n == 0:
+                if op[3] == 1.0:
+                    np.copyto(acc, s)
+                elif op[3] == -1.0:
+                    np.negative(s, out=acc)
+                else:
+                    np.multiply(s, op[3], out=acc)
+            elif op[3] == 1.0:
+                np.add(acc, s, out=acc)
+            elif op[3] == -1.0:
+                np.subtract(acc, s, out=acc)
+            else:
+                if tmp is None:
+                    tmp = np.empty((h, w))
+                np.multiply(s, op[3], out=tmp)
+                np.add(acc, tmp, out=acc)
     return out
 
 
 class _StencilStage:
-    """A stage applied as a sum over its nonzero taps, each a periodic shift
-    of one input channel.
-
-    Each tap reads the input where it lies: as flat row-major runs plus a
-    column-wrap strip, or as the blocks on which its shift does not wrap
-    (_tap_code), so no padded copy of the input is made.  The
-    instructions are planned once per image shape.
-    """
+    """A stage applied as a sum over its nonzero taps on a wrap-padded input."""
 
     def __init__(self, stage):
         c_out, c_in_pg, ks, _ = stage.kernels.shape
         per_group = c_out // stage.groups
-        r = ks // 2
-        # (out channel, in channel, dy, dx, weight): the forward map reads
-        # the input at offset (dy, dx) from the output pixel.
-        taps = [(o, (o // per_group) * c_in_pg + i, a - r, b - r,
+        self.r = r = ks // 2
+        # (out channel, in channel, row, col, weight); row and col are the
+        # slice offsets into the padded input of the forward map.
+        taps = [(o, (o // per_group) * c_in_pg + i, a, b,
                  float(stage.kernels[o, i, a, b]))
                 for o, i, a, b in np.argwhere(stage.kernels).tolist()]
-        self._forward_taps = _tap_plan(taps, c_out)
+        self._forward_plan = _tap_plan(taps, c_out)
         # The adjoint correlates with the flipped taps, channels transposed.
-        self._adjoint_taps = _tap_plan(
-            [(i, o, -dy, -dx, v) for o, i, dy, dx, v in taps], stage.c_in)
-        self._plans = {}
-
-    def _plan(self, shape):
-        """(forward, adjoint) block plans for h-by-w channels, cached."""
-        if shape not in self._plans:
-            self._plans[shape] = (_stencil_code(self._forward_taps, *shape),
-                                  _stencil_code(self._adjoint_taps, *shape))
-        return self._plans[shape]
+        self._adjoint_plan = _tap_plan(
+            [(i, o, 2 * r - a, 2 * r - b, v) for o, i, a, b, v in taps],
+            stage.c_in)
 
     def forward(self, x, out=None):
-        if out is None:
-            out = np.empty((len(self._forward_taps),) + x.shape[1:])
-        return _run_stencil(self._plan(x.shape[1:])[0], x, out)
+        return _apply_plan(self._forward_plan, _wrap_pad(x, self.r),
+                           *x.shape[1:], out)
 
     def adjoint(self, y, out=None):
-        if out is None:
-            out = np.empty((len(self._adjoint_taps),) + y.shape[1:])
-        return _run_stencil(self._plan(y.shape[1:])[1], y, out)
+        return _apply_plan(self._adjoint_plan, _wrap_pad(y, self.r),
+                           *y.shape[1:], out)
 
 
 class _SpectralStage:

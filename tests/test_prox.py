@@ -300,19 +300,23 @@ def traced_peak(fn):
 
 
 @pytest.mark.parametrize("certify", [False, True])
-def test_dual_iteration_allocates_nothing(certify):
+def test_dual_iteration_live_set_is_fixed(certify):
     # A solve makes its buffers once: u and v (two channels each) and four
-    # images, eight image-sized arrays in all.  Its peak memory is the same
-    # for 10 and for 200 dual iterations: an array made per iteration would
-    # add at least one 32 KB image, while Python's own small objects move
-    # the peak by a few bytes.
+    # images, eight image-sized arrays in all.  On top of them, each bank
+    # call makes and frees its own transients (the stencil's wrap-padded
+    # input, numpy's iteration buffers).  The peak is the same for 10 and
+    # for 200 dual iterations: an array kept per iteration would add at
+    # least one 32 KB image, while Python's own small objects move the peak
+    # by about a kilobyte.
     rng = Rng(24)
     shape = (64, 64)
     L = weighted_difference(rng, shape)
     X = ConstraintSet.box(0.0, 1.0)
     z = rng.gaussian_array(shape)
-    # Fill the bank's per-shape caches (norm, stencil plans) first.
+    # Fill the bank's per-shape caches (norm) first.
     prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=5), certify=certify)
+    s, image_out = L.forward(z), np.empty(shape)
+    bank_call = traced_peak(lambda: L.bank.adjoint(s, out=image_out))
     peaks = []
     for max_iters in (10, 200):
         cfg = ProxConfig(max_iters=max_iters, epsilon=1e-16)
@@ -321,8 +325,8 @@ def test_dual_iteration_allocates_nothing(certify):
             z, L, 0.3, X, cfg, certify=certify))))
         assert res[0].iterations == max_iters
     image = z.nbytes
-    assert abs(peaks[1] - peaks[0]) < 1024
-    assert peaks[1] <= 8 * image + image // 4
+    assert abs(peaks[1] - peaks[0]) < image // 4
+    assert peaks[1] <= 8 * image + bank_call + image // 4
 
 
 class CountingOperator:
