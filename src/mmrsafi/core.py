@@ -75,7 +75,10 @@ def psnr(reference, test):
 
 
 def relative_change(x_new, x_old):
-    """||x_new - x_old||_2 / ||x_old||_2, np.inf for a zero denominator."""
+    """||x_new - x_old||_2 / ||x_old||_2.
+
+    With x_old = 0 it is 0.0 when x_new is also zero, else np.inf.
+    """
     denom = np.linalg.norm(x_old)
     diff = np.linalg.norm(x_new - x_old)
     if denom == 0.0:

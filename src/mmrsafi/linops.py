@@ -4,9 +4,11 @@ Banks are stacks of periodic (circular) 2-D correlation stages.  Periodic
 boundaries keep adjoints exact, make zero-mean kernels annihilate constants,
 and give positive-normalized kernels exact row and column sums of one.
 Stages with few nonzero taps per channel are applied directly as periodic
-stencils; dense multi-channel stages go through FFT multipliers cached per
-image shape.  A bank's forward and adjoint write into a caller's out array
-when given one.  Periodic banks are block-circulant, so their spectral norm
+stencils, each tap reading the one to four blocks of its wrapped shift
+straight from the input; dense multi-channel stages go through FFT
+multipliers cached per image shape.  A bank's forward and adjoint write
+into a caller's out array when given one, which may share memory with the
+input.  Periodic banks are block-circulant, so their spectral norm
 is exact from one impulse response per input channel.  A direct dense
 materialization is available for oracle-scale checks.
 """
@@ -168,10 +170,11 @@ def _check_out(out, shape):
                          f"got {out.dtype} {out.shape}")
 
 
-# Direct stencils cost one array operation per nonzero tap; FFT multipliers
-# cost a few transforms per channel.  Measured break-even: about 4.5 taps per
-# input and output channel at 8x8 and 64x64, about 12 at 256x256.  Stages
-# with more nonzero taps than this per channel run through FFTs.
+# Direct stencils cost one to four block operations per nonzero tap; FFT
+# multipliers cost a few transforms per channel.  Measured break-even, when
+# each tap was one operation on a wrap-padded copy: about 4.5 taps per input
+# and output channel at 8x8 and 64x64, about 12 at 256x256.  Stages with
+# more nonzero taps than this per channel run through FFTs.
 _STENCIL_MAX_TAPS_PER_CHANNEL = 8
 
 
@@ -182,115 +185,85 @@ def _applier(stage):
     return _SpectralStage(stage)
 
 
-@lru_cache(maxsize=32)
-def _wrap_index(h, w, r):
-    """Flat indices of an h-by-w periodic image padded by r on every side.
-
-    Modular indices stay correct when r exceeds the image size.
-    """
-    rows = np.arange(-r, h + r) % h
-    cols = np.arange(-r, w + r) % w
-    index = rows[:, None] * w + cols
-    index.flags.writeable = False     # shared by every caller of the cache
-    return index
+@lru_cache(maxsize=256)
+def _wrapped_blocks(n, d):
+    """The one or two (target, source) slice pairs that tile t[i] = s[(i + d)
+    % n] over i < n; any integer shift d, so taps may wrap more than once."""
+    d %= n
+    if d == 0:
+        return ((slice(None), slice(None)),)
+    return ((slice(0, n - d), slice(d, n)), (slice(n - d, n), slice(0, d)))
 
 
-def _wrap_pad(x, r):
-    """Periodic padding by r on every side of each channel of x."""
-    c, h, w = x.shape
-    if r > h or r > w:
-        # The pad wraps around the image more than once.
-        return np.take(x.reshape(c, h * w), _wrap_index(h, w, r), axis=1)
-    xp = np.empty((c, h + 2 * r, w + 2 * r))
-    xp[:, r:r + h, r:r + w] = x
-    if r:
-        xp[:, r:r + h, :r] = x[:, :, w - r:]
-        xp[:, r:r + h, r + w:] = x[:, :, :r]
-        xp[:, :r] = xp[:, h:h + r]
-        xp[:, r + h:] = xp[:, r:2 * r]
-    return xp
-
-
-def _tap_plan(taps, channels):
-    """Group (target, source, row, col, weight) taps by target channel.
-
-    Returns one list per target channel of (source, row, col, weight) in
-    the given summation order.  When the first two taps are +-1 of opposite
-    signs they are merged into one entry (source, row, col, source2, row2,
-    col2) meaning "first minus second".
-    """
-    plan = [[] for _ in range(channels)]
-    for target, src, a, b, v in taps:
-        plan[target].append((src, a, b, v))
-    for ops in plan:
-        if len(ops) >= 2 and {ops[0][3], ops[1][3]} == {-1.0, 1.0}:
-            pos, neg = ops[:2] if ops[0][3] == 1.0 else ops[1::-1]
-            ops[:2] = [pos[:3] + neg[:3]]
-    return plan
-
-
-def _apply_plan(plan, xp, h, w, out=None):
-    """out[c] = sum over plan[c] of weight * xp[source, row:+h, col:+w],
+def _apply_taps(taps, x, out):
+    """out[c] = sum over taps[c] of weight * x[source] shifted periodically,
+    so that element (i, j) reads x[source, (i + dr) % h, (j + dc) % w];
     into a new array unless out is given.
 
-    Equals the sum started from 0 and taken in plan order, up to the sign
-    of zero: +-1 taps are added or subtracted without a product.
+    Each tap reads its wrapped blocks straight from x.  The sum starts from
+    the first tap and runs in tap order, and +-1 taps are added or
+    subtracted without a product, so it equals the sum started from 0 up to
+    the sign of zero.
     """
+    h, w = x.shape[1:]
     if out is None:
-        out = np.empty((len(plan), h, w))
+        out = np.empty((len(taps), h, w))
+    elif np.may_share_memory(x, out):
+        x = x.copy()            # taps read x while out is written
     tmp = None
-    for acc, ops in zip(out, plan):
+    for acc, ops in zip(out, taps):
         if not ops:
             acc.fill(0.0)
-        for n, op in enumerate(ops):
-            s = xp[op[0], op[1]:op[1] + h, op[2]:op[2] + w]
-            if len(op) == 6:
-                np.subtract(s, xp[op[3], op[4]:op[4] + h, op[5]:op[5] + w],
-                            out=acc)
-            elif n == 0:
-                if op[3] == 1.0:
-                    np.copyto(acc, s)
-                elif op[3] == -1.0:
-                    np.negative(s, out=acc)
-                else:
-                    np.multiply(s, op[3], out=acc)
-            elif op[3] == 1.0:
-                np.add(acc, s, out=acc)
-            elif op[3] == -1.0:
-                np.subtract(acc, s, out=acc)
-            else:
-                if tmp is None:
-                    tmp = np.empty((h, w))
-                np.multiply(s, op[3], out=tmp)
-                np.add(acc, tmp, out=acc)
+        for n, (src, dr, dc, v) in enumerate(ops):
+            for tr, sr in _wrapped_blocks(h, dr):
+                for tc, sc in _wrapped_blocks(w, dc):
+                    t, s = acc[tr, tc], x[src, sr, sc]
+                    if n == 0:
+                        if v == 1.0:
+                            np.copyto(t, s)
+                        elif v == -1.0:
+                            np.negative(s, out=t)
+                        else:
+                            np.multiply(s, v, out=t)
+                    elif v == 1.0:
+                        np.add(t, s, out=t)
+                    elif v == -1.0:
+                        np.subtract(t, s, out=t)
+                    else:
+                        if tmp is None:
+                            tmp = np.empty(h * w)
+                        # A contiguous scratch block: numpy buffers
+                        # strided outputs.
+                        scaled = tmp[:s.size].reshape(s.shape)
+                        np.add(t, np.multiply(s, v, out=scaled), out=t)
     return out
 
 
 class _StencilStage:
-    """A stage applied as a sum over its nonzero taps on a wrap-padded input."""
+    """A stage applied as a sum over its nonzero taps, each read as periodic
+    blocks of the input with no padded copy."""
 
     def __init__(self, stage):
         c_out, c_in_pg, ks, _ = stage.kernels.shape
         per_group = c_out // stage.groups
-        self.r = r = ks // 2
-        # (out channel, in channel, row, col, weight); row and col are the
-        # slice offsets into the padded input of the forward map.
-        taps = [(o, (o // per_group) * c_in_pg + i, a, b,
-                 float(stage.kernels[o, i, a, b]))
-                for o, i, a, b in np.argwhere(stage.kernels).tolist()]
-        self._forward_plan = _tap_plan(taps, c_out)
-        # The adjoint correlates with the flipped taps, channels transposed.
-        self._adjoint_plan = _tap_plan(
-            [(i, o, 2 * r - a, 2 * r - b, v) for o, i, a, b, v in taps],
-            stage.c_in)
+        r = ks // 2
+        # Per target channel, (source, row shift, col shift, weight) in
+        # kernel order: the forward correlates, shifting by the tap's offset
+        # from the kernel centre; the adjoint shifts the other way, with
+        # the channels transposed.
+        self._forward_taps = [[] for _ in range(c_out)]
+        self._adjoint_taps = [[] for _ in range(stage.c_in)]
+        for o, i, a, b in np.argwhere(stage.kernels).tolist():
+            v = float(stage.kernels[o, i, a, b])
+            i += (o // per_group) * c_in_pg
+            self._forward_taps[o].append((i, a - r, b - r, v))
+            self._adjoint_taps[i].append((o, r - a, r - b, v))
 
     def forward(self, x, out=None):
-        return _apply_plan(self._forward_plan, _wrap_pad(x, self.r),
-                           *x.shape[1:], out)
+        return _apply_taps(self._forward_taps, x, out)
 
     def adjoint(self, y, out=None):
-        return _apply_plan(self._adjoint_plan, _wrap_pad(y, self.r),
-                           *y.shape[1:], out)
+        return _apply_taps(self._adjoint_taps, y, out)
 
 
 class _SpectralStage:

@@ -26,7 +26,11 @@ def _pack_bank(archive, prefix, bank):
 
 
 def _unpack_bank(archive, prefix, constraint=None):
-    groups = archive.get(f"{prefix}.groups").astype(int)
+    name = f"{prefix}.groups"
+    groups = archive.get(name)
+    if np.any(groups < 1) or np.any(groups != np.floor(groups)):
+        raise ArchiveError(f"{name!r} must hold integers >= 1, got "
+                           f"{groups.tolist()}")
     stages = []
     for i, g in enumerate(groups):
         stages.append(ConvStage(archive.get(f"{prefix}.s{i}"), int(g)))
@@ -70,6 +74,11 @@ def model_from_archive(archive):
         delta = archive.scalar("sigma.delta")
         d = archive.get("sigma.d")
         r = archive.get("sigma.r")
+        if d.ndim != 2:
+            raise ArchiveError(f"'sigma.d' must be 2-D, has shape {d.shape}")
+        if r.shape != d.shape[:1]:
+            raise ArchiveError(f"'sigma.r' holds {r.size} values for the "
+                               f"{d.shape[0]} rows of 'sigma.d'")
         potentials = [
             ConcavePotential(HalfLineSpline(delta, project_nonincreasing(d[c])),
                              r=float(r[c]))

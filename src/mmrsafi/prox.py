@@ -185,12 +185,13 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
     Each solve owns six arrays, made when it starts: on the dual side u and
     v, with the ascent step's L applied into L.workspace; on the primal
     side a = L^T u, a_v = L^T v, x and x_next.  The iteration makes no
-    other array of its own; the bank's stencil stages still copy their
-    input into a wrap-padded array per call.  u_{k+1} is formed in v's
-    buffer and v_{k+1} in u's, likewise a_{k+1} in a_v's and a_{v,k+1} in
-    a's; a_v's buffer first holds Proj_X(z - a_v), and x's the change
-    x_next - x once ||x|| is taken.  z, warm_u and warm_adjoint are only
-    read, and the result's arrays are buffers of this solve alone.
+    other array, and the bank's stencil stages read their input in place;
+    only numpy's iteration buffers for strided reads come and go per call.
+    u_{k+1} is formed in v's buffer and v_{k+1} in u's, likewise a_{k+1}
+    in a_v's and a_{v,k+1} in a's; a_v's buffer first holds
+    Proj_X(z - a_v), and x's the change x_next - x once ||x|| is taken.
+    z, warm_u and warm_adjoint are only read, and the result's arrays are
+    buffers of this solve alone.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")

@@ -33,6 +33,10 @@ class MmrModel:
             raise ValueError("one potential per analysis channel required")
         if self.B.constraint != "positive-normalized":
             raise ValueError("B must be positive-normalized")
+        if not self.B.in_channels == self.B.out_channels == self.W.out_channels:
+            raise ValueError(
+                f"B must map W's {self.W.out_channels} channels to as many; "
+                f"it maps {self.B.in_channels} to {self.B.out_channels}")
 
 
 @dataclass
@@ -45,6 +49,24 @@ class SafiModel:
     phi2: list
     phi3: list                # per-channel SigmoidSpline
     lam: float = 0.1
+
+    def __post_init__(self):
+        # The mask generator runs Wt, phi1, Bt, phi2, Bh, phi3 in turn, and
+        # its last layer weighs W's channels.
+        if self.Wt.in_channels != self.W.in_channels:
+            raise ValueError(
+                f"Wt takes {self.Wt.in_channels} input channels, W takes "
+                f"{self.W.in_channels}")
+        for names, counts in (
+                ("Wt -> phi1 -> Bt", (self.Wt.out_channels, len(self.phi1),
+                                      self.Bt.in_channels)),
+                ("Bt -> phi2 -> Bh", (self.Bt.out_channels, len(self.phi2),
+                                      self.Bh.in_channels)),
+                ("Bh -> phi3 -> W", (self.Bh.out_channels, len(self.phi3),
+                                     self.W.out_channels))):
+            if len(set(counts)) != 1:
+                raise ValueError(f"SAFI channel counts do not chain along "
+                                 f"{names}: {', '.join(map(str, counts))}")
 
 
 @dataclass

@@ -6,9 +6,10 @@ from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import SolverConfig
 from mmrsafi.fileio import ParamArchive, archive_write, pgm_read
 from mmrsafi.forward import IdentityOp, add_noise
-from mmrsafi.params import mmr_to_archive
+from mmrsafi.params import mmr_to_archive, safi_to_archive
 from mmrsafi.phantom import make_phantom
-from mmrsafi.schemes import default_tv_model, eval_objective, run_mmr
+from mmrsafi.schemes import (default_safi_model, default_tv_model,
+                             eval_objective, run_mmr)
 
 
 @pytest.fixture()
@@ -188,17 +189,26 @@ def one_nan(array):
 @pytest.mark.parametrize("name, edit, message", [
     ("kind", lambda a: a[:0], "'kind' must hold one value"),
     ("W.s0", one_nan, "non-finite values in 'W.s0'"),
-    ("sigma.d", one_nan, "non-finite values in 'sigma.d'")])
+    ("sigma.d", one_nan, "non-finite values in 'sigma.d'"),
+    ("sigma.d", lambda a: a[0], "'sigma.d' must be 2-D"),
+    ("sigma.r", lambda a: a[:1], "'sigma.r' holds 1 values for the 2 rows"),
+    ("B.groups", lambda a: a - 0.5, "'B.groups' must hold integers >= 1"),
+    ("W.groups", lambda a: a - 1.0, "'W.groups' must hold integers >= 1"),
+    ("phi3.d", lambda a: a[:1], "do not chain along Bh -> phi3 -> W: 2, 1, 2")])
 def test_bad_archive_rejected(capsys, tmp_path, phantom_pgm, name, edit,
                               message):
-    archive, source = ParamArchive(), mmr_to_archive(default_tv_model())
+    safi = name.startswith("phi")
+    source = (safi_to_archive(default_safi_model()) if safi
+              else mmr_to_archive(default_tv_model()))
+    archive = ParamArchive()
     for key in source.names():
         value = source.get(key)
         archive.add(key, edit(value) if key == name else value)
     params, out = tmp_path / "bad.bin", tmp_path / "recon.pgm"
     archive_write(params, archive)
     code = main(["denoise", "--input", str(phantom_pgm), "--output", str(out),
-                 "--k-out", "1", "--params", str(params)])
+                 "--scheme", "safi" if safi else "mmr", "--k-out", "1",
+                 "--params", str(params)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and message in err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -372,3 +374,47 @@ def test_bad_out_rejected():
     # One input channel: the adjoint's out is 2-D, like its result.
     with pytest.raises(ValueError, match="out must be"):
         bank.adjoint(s, out=np.empty((1, 8, 8)))
+
+
+@pytest.mark.parametrize("applier", [_StencilStage, _SpectralStage],
+                         ids=["stencil", "fft"])
+def test_out_may_share_memory_with_the_input(applier):
+    # Stencil taps read the input while they write out; an out that is the
+    # input, or a view of it, must still get the result of out=None.
+    rng = Rng(44)
+    square = (box_bank(2, size=3) if applier is _StencilStage else
+              FilterBank([ConvStage(rng.gaussian_array((2, 2, 7, 7)), 1)]))
+    one_in = (difference_bank() if applier is _StencilStage else
+              FilterBank([ConvStage(rng.gaussian_array((2, 1, 7, 7)), 1)]))
+    for bank in (square, one_in):
+        assert all(type(app) is applier for app in bank._appliers)
+    s = rng.gaussian_array((2, 8, 8))
+    for apply in (square.forward, square.adjoint):
+        ref, arg = apply(s), s.copy()
+        assert apply(arg, out=arg) is arg
+        assert np.array_equal(arg, ref)
+    ref, arg = one_in.adjoint(s), s.copy()
+    out = arg[1]
+    assert one_in.adjoint(arg, out=out) is out
+    assert np.array_equal(out, ref)
+    x = rng.gaussian_array((8, 8))
+    ref, arg = one_in.forward(x), np.stack([x, x])
+    one_in.forward(arg[0], out=arg)
+    assert np.array_equal(arg, ref)
+
+
+def test_stencil_allocates_less_than_an_image():
+    # The taps read the input in place: no padded copy, no new output.
+    bank = difference_bank()
+    x = Rng(45).gaussian_array((256, 256))
+    s = bank.forward(x)
+    back = np.empty_like(x)
+    bank.adjoint(s, out=back)
+    for apply, arg, out in ((bank.forward, x, s), (bank.adjoint, s, back)):
+        tracemalloc.start()
+        try:
+            apply(arg, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes

@@ -303,9 +303,9 @@ def traced_peak(fn):
 def test_dual_iteration_live_set_is_fixed(certify):
     # A solve makes its buffers once: u and v (two channels each) and four
     # images, eight image-sized arrays in all.  On top of them, each bank
-    # call makes and frees its own transients (the stencil's wrap-padded
-    # input, numpy's iteration buffers).  The peak is the same for 10 and
-    # for 200 dual iterations: an array kept per iteration would add at
+    # call makes and frees its own transients (numpy's iteration buffers
+    # for the stencil's strided block reads).  The peak is the same for 10
+    # and for 200 dual iterations: an array kept per iteration would add at
     # least one 32 KB image, while Python's own small objects move the peak
     # by about a kilobyte.
     rng = Rng(24)

@@ -9,7 +9,8 @@ from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import SolverConfig, fbs_solve
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
-from mmrsafi.linops import MatrixOp, dense_matrix_of
+from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, box_bank,
+                             dense_matrix_of)
 from mmrsafi.oracle import finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import ConstraintSet, WeightedAnalysisOperator
@@ -278,6 +279,31 @@ def test_default_tv_model_structure():
     assert np.max(np.abs(model.W.forward(np.full((8, 8), 0.4)))) < 1e-12
     for pot in model.potentials:
         assert pot.derivative(0.0) == 1.0
+
+
+def test_mmr_model_rejects_a_b_that_changes_channel_count():
+    widen = FilterBank([ConvStage(np.ones((3, 2, 3, 3)), 1)],
+                       constraint="positive-normalized")
+    with pytest.raises(ValueError, match="B must map W's 2 channels to as "
+                                         "many; it maps 2 to 3"):
+        replace(default_tv_model(), B=widen)
+
+
+def test_safi_model_rejects_channel_counts_that_do_not_chain():
+    model = default_safi_model()
+    bad = {
+        "phi3": (model.phi3[:1], "Bh -> phi3 -> W: 2, 1, 2"),
+        "phi1": (model.phi1 * 2, "Wt -> phi1 -> Bt: 2, 4, 2"),
+        "Bt": (box_bank(3), "Wt -> phi1 -> Bt: 2, 2, 3"),
+        "Bh": (FilterBank([ConvStage(np.ones((3, 2, 1, 1)), 1)]),
+               "Bh -> phi3 -> W: 3, 2, 2"),
+        "Wt": (FilterBank([ConvStage(np.ones((2, 2, 3, 3)), 1)],
+                          constraint="zero-mean"), "Wt takes 2 input"),
+    }
+    for name, (value, message) in bad.items():
+        with pytest.raises(ValueError, match=message):
+            replace(model, **{name: value})
+    replace(model, Bh=FilterBank([ConvStage(np.ones((2, 2, 1, 1)), 1)]))
 
 
 def test_trace_psnr_recorded():
