@@ -22,7 +22,7 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     k_out: int = 10
     k_fbs: int = 1000
-    k_prox: int = 500
+    k_prox: int = ProxConfig.max_iters
     eps_out: float = 1e-5
     lam: float = None        # replaces model.lam when set
     eps_fbs: float = None    # fixed FBS tolerance; None follows the schedule
@@ -79,16 +79,15 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
 
     When H^T H = I (H.normal_is_identity) a single step returns
     prox_{lam*||L.||_1}(H^T y) exactly, so the loop is cut short.  The
-    gradient is H^T H x - H^T y, with H^T y formed once per solve.  L is
-    fixed within the solve, so each prox call passes
-    its dual and the dual's adjoint L^T u on to the next call.  The dual of
-    the last prox call is returned for warm-starting the next solve.
+    gradient is H^T H x - H^T y, with H^T y formed once per solve.  Each
+    prox call is warm-started from the dual of the previous one (or warm_u),
+    and the dual of the last is returned for warm-starting the next solve.
 
     Accelerated FBS accumulates the errors of its inexact prox steps, so on
     the multi-step path each prox is certified by its duality gap: its dual
     loop stops once G <= eps_prox * P (prox_weighted_l1 with certify), within
     k_prox dual iterations per FBS step.  The one-step identity path makes
-    no check: nothing accumulates, and its prox is as accurate as tol_fbs
+    no check: nothing accumulates, and its prox is as accurate as eps_fbs
     asks.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
@@ -103,7 +102,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
 
     x_tilde = x
     t = 1.0
-    dual, dual_adjoint = warm_u, None
+    dual = warm_u
     h_adj_y = H.adjoint(y)
     prox_iters = prox_unconverged = 0
     prox_gap = np.nan
@@ -118,14 +117,14 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
             if cfg.eps_prox is not None:
                 eps_prox = cfg.eps_prox
             elif identity:
-                eps_prox = tol_fbs(k_out)
+                eps_prox = eps_fbs
             else:
                 eps_prox = tol_prox(k_out, k, eps_fbs)
             pres = prox_weighted_l1(
                 z, L, alpha * lam, X,
                 ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
-                warm_u=dual, warm_adjoint=dual_adjoint, certify=not identity)
-            x_next, dual, dual_adjoint = pres.x, pres.dual, pres.dual_adjoint
+                warm_u=dual, certify=not identity)
+            x_next, dual = pres.x, pres.dual
             prox_iters += pres.iterations
             prox_unconverged += not pres.converged
             prox_gap = pres.gap
@@ -134,8 +133,9 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
         if not np.all(np.isfinite(x_next)):
             raise NumericalError("non-finite iterate in FBS")
         t_next = momentum_next(k)
-        x_tilde = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        diff = np.linalg.norm(x_next - x)
+        step = x_next - x
+        x_tilde = x_next + ((t - 1.0) / t_next) * step
+        diff = np.linalg.norm(step)
         done = identity or diff < eps_fbs * np.linalg.norm(x) or diff == 0.0
         x, t = x_next, t_next
         if done:

@@ -80,6 +80,8 @@ class FilterBank:
     def __init__(self, stages, constraint=None):
         if constraint not in _CONSTRAINTS:
             raise ValueError(f"unknown constraint {constraint!r}")
+        if not stages:
+            raise ValueError("a filter bank needs at least one stage")
         proj = _CONSTRAINTS[constraint]
         fixed = []
         for st in stages:

@@ -28,12 +28,17 @@ def _pack_bank(archive, prefix, bank):
 def _unpack_bank(archive, prefix, constraint=None):
     name = f"{prefix}.groups"
     groups = archive.get(name)
+    if groups.ndim != 1 or groups.size == 0:
+        raise ArchiveError(f"{name!r} must be a non-empty 1-D array, has "
+                           f"shape {groups.shape}")
     if np.any(groups < 1) or np.any(groups != np.floor(groups)):
         raise ArchiveError(f"{name!r} must hold integers >= 1, got "
                            f"{groups.tolist()}")
-    stages = []
-    for i, g in enumerate(groups):
-        stages.append(ConvStage(archive.get(f"{prefix}.s{i}"), int(g)))
+    extra = f"{prefix}.s{groups.size}"
+    if extra in archive.names():
+        raise ArchiveError(f"{extra!r} has no entry in {name!r}")
+    stages = [ConvStage(archive.get(f"{prefix}.s{i}"), int(g))
+              for i, g in enumerate(groups)]
     return FilterBank(stages, constraint=constraint)
 
 

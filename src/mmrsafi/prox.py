@@ -7,7 +7,8 @@ same combination of the adjoints of the last two iterates.  The solve stops
 on a relative change of the primal iterate or, when certified, on a small
 duality gap checked every _GAP_CHECK_INTERVAL iterations; either way also on
 a change at the roundoff level of z - L^T u.  The dual iterate is returned
-so that consecutive solves can be warm-started.
+so that consecutive solves can be warm-started; a warm start passes only the
+dual, and the solve opens with one L^T of it, as a cold start does.
 
 The dual step is 1/B^2 for a certified upper bound B >= ||L||_2, which is
 what the accelerated projected gradient method needs to converge.
@@ -127,8 +128,7 @@ class ProxResult:
     dual: np.ndarray
     iterations: int
     converged: bool
-    dual_adjoint: np.ndarray   # L^T dual, for a warm start with the same L
-    gap: float                 # G/P at the last gap check; nan if unchecked
+    gap: float          # G/P at the last gap check; nan if unchecked
 
 
 def dual_gradient(L, X, z, u):
@@ -161,8 +161,7 @@ def _project_into(X, r):
         np.clip(r, X.lower, X.upper, out=r)
 
 
-def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
-                     certify=False):
+def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, certify=False):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
@@ -178,9 +177,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
     a_k = L^T u_k is carried across iterations, and the momentum point
     v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
     linearity, a_{k+1} + beta_k (a_{k+1} - a_k).  One L and one L^T call
-    per iteration; a_{k+1} is computed fresh from u_{k+1}, so no error
-    builds up.  warm_adjoint, when given, must be L^T warm_u for this same
-    L (the dual_adjoint of an earlier result); it saves the opening L^T.
+    per iteration, plus one to open with a = L^T u, where u is L z on a
+    cold start and a copy of warm_u on a warm one; a_{k+1} is computed
+    fresh from u_{k+1}, so no error builds up.
 
     Each solve owns six arrays, made when it starts: on the dual side u and
     v, with the ascent step's L applied into L.workspace; on the primal
@@ -190,8 +189,8 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
     u_{k+1} is formed in v's buffer and v_{k+1} in u's, likewise a_{k+1}
     in a_v's and a_{v,k+1} in a's; a_v's buffer first holds
     Proj_X(z - a_v), and x's the change x_next - x once ||x|| is taken.
-    z, warm_u and warm_adjoint are only read, and the result's arrays are
-    buffers of this solve alone.
+    z and warm_u are only read, and the result's arrays are buffers of this
+    solve alone.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -204,18 +203,12 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
         # L vanishes: the penalty is zero and the prox is the projection.
         x = z.copy()
         _project_into(X, x)
-        return ProxResult(x, np.zeros_like(L.weights), 0, True,
-                          np.zeros_like(z), np.nan)
+        return ProxResult(x, np.zeros_like(L.weights), 0, True, np.nan)
     alpha = 1.0 / bound ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
 
-    if warm_u is None:
-        u = L.forward(z)
-        a = L.adjoint(u)
-    else:
-        u = np.array(warm_u, dtype=np.float64)
-        a = (L.adjoint(u) if warm_adjoint is None
-             else np.array(warm_adjoint, dtype=np.float64))
+    u = L.forward(z) if warm_u is None else np.array(warm_u, dtype=np.float64)
+    a = L.adjoint(u)
     v, a_v = u.copy(), a.copy()
     x, x_next = np.subtract(z, a), np.empty_like(z)
     _project_into(X, x)
@@ -253,5 +246,5 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, warm_adjoint=None,
             ratio = gap / primal if primal > 0.0 else 0.0
             done = done or gap <= cfg.epsilon * primal
         if done or k == cfg.max_iters:
-            return ProxResult(x_next, u, k, bool(done), a, ratio)
+            return ProxResult(x_next, u, k, bool(done), ratio)
         x, x_next = x_next, x

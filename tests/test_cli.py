@@ -194,6 +194,11 @@ def one_nan(array):
     ("sigma.r", lambda a: a[:1], "'sigma.r' holds 1 values for the 2 rows"),
     ("B.groups", lambda a: a - 0.5, "'B.groups' must hold integers >= 1"),
     ("W.groups", lambda a: a - 1.0, "'W.groups' must hold integers >= 1"),
+    ("B.groups", lambda a: a.reshape(1, 1),
+     "'B.groups' must be a non-empty 1-D array, has shape (1, 1)"),
+    ("W.groups", lambda a: a[:0],
+     "'W.groups' must be a non-empty 1-D array, has shape (0,)"),
+    ("W.s1", lambda a: a.get("W.s0"), "'W.s1' has no entry in 'W.groups'"),
     ("phi3.d", lambda a: a[:1], "do not chain along Bh -> phi3 -> W: 2, 1, 2")])
 def test_bad_archive_rejected(capsys, tmp_path, phantom_pgm, name, edit,
                               message):
@@ -204,6 +209,9 @@ def test_bad_archive_rejected(capsys, tmp_path, phantom_pgm, name, edit,
     for key in source.names():
         value = source.get(key)
         archive.add(key, edit(value) if key == name else value)
+    if name not in source.names():
+        # An array the source lacks is made by edit from the whole source.
+        archive.add(name, edit(source))
     params, out = tmp_path / "bad.bin", tmp_path / "recon.pgm"
     archive_write(params, archive)
     code = main(["denoise", "--input", str(phantom_pgm), "--output", str(out),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmrsafi import fbs, prox
+from mmrsafi import prox
 from mmrsafi.core import Rng
 from mmrsafi.fbs import (NumericalError, SolverConfig, fbs_solve,
                          momentum_next, tol_fbs, tol_prox)
@@ -238,24 +238,10 @@ def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
                     cfg, X, warm_u=warm_u)
     # Each certificate check inside the dual loop costs one L.forward.
     assert gap_checks
-    assert counted_L.calls["adjoint"] == res.prox_iterations + 1
+    # One prox call per FBS step, each opening with one L^T of its warm dual.
+    assert counted_L.calls["adjoint"] == res.prox_iterations + res.iterations
     assert counted_L.calls["forward"] == res.prox_iterations + len(gap_checks)
     assert counted_H.calls == {"adjoint": 1, "normal": res.iterations}
-
-    # The same solve with L^T u recomputed at every warm start.
-    def recomputing(*args, warm_adjoint=None, **kwargs):
-        return prox_weighted_l1(*args, **kwargs)
-
-    monkeypatch.setattr(fbs, "prox_weighted_l1", recomputing)
-    counted_L = Counting(L)
-    ref = fbs_solve(H, y, counted_L, 1e-2, np.zeros((16, 16)), 2, cfg, X,
-                    warm_u=warm_u)
-    # One prox call per FBS step, each opening with one L^T.
-    assert counted_L.calls["adjoint"] == ref.prox_iterations + ref.iterations
-    assert ref.prox_iterations == res.prox_iterations
-    assert ref.iterations == res.iterations
-    assert np.array_equal(ref.x, res.x)
-    assert np.array_equal(ref.dual, res.dual)
 
 
 def test_certified_prox_converges_near_a_tight_solve():
@@ -295,6 +281,22 @@ def test_identity_path_makes_no_certificate_check(monkeypatch):
                                          epsilon=tol_fbs(2)))
     assert np.array_equal(res.x, direct.x)
     assert res.prox_iterations == direct.iterations
+
+
+def test_identity_path_takes_a_fixed_eps_fbs():
+    y = Rng(13).gaussian_array((16, 16))
+    L = ones_difference((16, 16))
+    X = ConstraintSet.box(0.0, 1.0)
+    x0 = np.zeros((16, 16))
+    loose = fbs_solve(IdentityOp(), y, L, 0.3, x0, 2, SolverConfig(), X)
+    tight = fbs_solve(IdentityOp(), y, L, 0.3, x0, 2,
+                      SolverConfig(eps_fbs=1e-12), X)
+    ref = fbs_solve(IdentityOp(), y, L, 0.3, x0, 2,
+                    SolverConfig(eps_prox=1e-12), X)
+    # The one-step prox runs to eps_fbs when it is fixed, not to tol_fbs.
+    assert tight.prox_iterations > loose.prox_iterations
+    assert np.array_equal(tight.x, ref.x)
+    assert tight.prox_iterations == ref.prox_iterations
 
 
 @pytest.mark.parametrize("scheme", ["mmr", "safi"])

@@ -115,6 +115,11 @@ def test_project_positive_normalized():
         project_positive_normalized(np.zeros(9))
 
 
+def test_bank_needs_a_stage():
+    with pytest.raises(ValueError, match="at least one stage"):
+        FilterBank([])
+
+
 def test_forward_zero_and_identity():
     bank = difference_bank()
     assert np.all(bank.forward(np.zeros((5, 5))) == 0.0)

@@ -245,7 +245,7 @@ def test_weighted_operator_out():
 
 
 def prox_arrays(res):
-    return [res.x, res.dual, res.dual_adjoint]
+    return [res.x, res.dual]
 
 
 @pytest.mark.parametrize("certify", [False, True])
@@ -256,14 +256,13 @@ def test_warm_started_solve_reads_its_inputs_only(certify):
     cfg = ProxConfig(max_iters=40, epsilon=1e-12)
     cold = prox_weighted_l1(rng.gaussian_array((8, 8)), L, 0.3, X, cfg)
     z = rng.gaussian_array((8, 8))
-    inputs = [z, cold.dual, cold.dual_adjoint]
+    inputs = [z, cold.dual]
     copies = [a.copy() for a in inputs]
-    for adjoint in (cold.dual_adjoint, None):
-        warm = prox_weighted_l1(z, L, 0.3, X, cfg, warm_u=cold.dual,
-                                warm_adjoint=adjoint, certify=certify)
-        assert warm.iterations == 40 or warm.converged
-        for a, kept in zip(inputs, copies):
-            assert np.array_equal(a, kept)
+    warm = prox_weighted_l1(z, L, 0.3, X, cfg, warm_u=cold.dual,
+                            certify=certify)
+    assert warm.iterations == 40 or warm.converged
+    for a, kept in zip(inputs, copies):
+        assert np.array_equal(a, kept)
 
 
 def test_results_share_no_memory():
@@ -279,7 +278,7 @@ def test_results_share_no_memory():
         last = results[-1]
         results.append(prox_weighted_l1(
             z, L, 0.3, X, ProxConfig(max_iters=max_iters), warm_u=last.dual,
-            warm_adjoint=last.dual_adjoint, certify=max_iters > 2))
+            certify=max_iters > 2))
     zero = WeightedAnalysisOperator(difference_bank(), np.zeros((2, 8, 8)))
     results.append(prox_weighted_l1(z, zero, 0.3, X, cfg))
     arrays = [a for res in results for a in prox_arrays(res)]
@@ -422,29 +421,8 @@ def test_inputs_and_earlier_results_left_unchanged(box, max_iters):
                 assert np.array_equal(getattr(old, name), value), (step, name)
         results.append(res)
         copies.append({name: getattr(res, name).copy()
-                       for name in ("x", "dual", "dual_adjoint")})
-        assert np.array_equal(res.dual_adjoint, L.adjoint(res.dual))
-        # Warm from the last result, with and without its adjoint.
-        warm = ({"warm_u": res.dual, "warm_adjoint": res.dual_adjoint}
-                if step % 2 == 0 else {"warm_u": res.dual})
-
-
-def test_carried_adjoint_saves_one_call_and_changes_nothing():
-    rng = Rng(19)
-    L = CountingOperator(weighted_difference(rng, (8, 8)))
-    X = ConstraintSet.box(0.0, 1.0)
-    cold = prox_weighted_l1(rng.gaussian_array((8, 8)), L, 0.3, X, TIGHT)
-    z = rng.gaussian_array((8, 8))
-    L.forward_calls = L.adjoint_calls = 0
-    plain = prox_weighted_l1(z, L, 0.3, X, TIGHT, warm_u=cold.dual)
-    assert L.adjoint_calls == plain.iterations + 1
-    L.forward_calls = L.adjoint_calls = 0
-    carried = prox_weighted_l1(z, L, 0.3, X, TIGHT, warm_u=cold.dual,
-                               warm_adjoint=cold.dual_adjoint)
-    assert L.forward_calls == L.adjoint_calls == carried.iterations
-    assert carried.iterations == plain.iterations
-    for name in ("x", "dual", "dual_adjoint"):
-        assert np.array_equal(getattr(carried, name), getattr(plain, name))
+                       for name in ("x", "dual")})
+        warm = {"warm_u": res.dual}
 
 
 @pytest.mark.parametrize("mean", [1e-3, 1e-5, 0.0])
