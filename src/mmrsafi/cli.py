@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .core import Rng, psnr
-from .fbs import SolverConfig
+from .fbs import NumericalError, SolverConfig
 from .fileio import archive_read, pgm_read, pgm_write, write_trace_csv
 from .forward import (IdentityOp, MaskedDftOp, add_noise, make_cartesian_mask,
                       read_mask_file, write_mask_file)
@@ -201,7 +201,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,12 +3,12 @@
 The dual problem is solved with accelerated projected gradient ascent; the
 primal is recovered as Proj_X{z - L^T u}.  Each dual iteration applies L
 once and L^T once: by linearity, the adjoint of the momentum point is the
-same combination of the adjoints of the last two iterates.  The solve stops
-on a relative change of the primal iterate or, when certified, on a small
-duality gap checked every _GAP_CHECK_INTERVAL iterations; either way also on
-a change at the roundoff level of z - L^T u.  The dual iterate is returned
-so that consecutive solves can be warm-started; a warm start passes only the
-dual, and the solve opens with one L^T of it, as a cold start does.
+same combination of the adjoints of the last two iterates.  Every solve is
+certified: it stops once the duality gap, checked every _GAP_CHECK_INTERVAL
+iterations, is small relative to the primal value, or on a change at the
+roundoff level of z - L^T u.  The dual iterate is returned so that
+consecutive solves can be warm-started; a warm start passes only the dual,
+and the solve opens with one L^T of it, as a cold start does.
 
 The dual step is 1/B^2 for a certified upper bound B >= ||L||_2, which is
 what the accelerated projected gradient method needs to converge.
@@ -25,8 +25,8 @@ from .linops import operator_norm  # noqa: F401
 # what z - L^T u resolves, so the stop rule treats them as no change.
 _ROUNDOFF_FLOOR = 4.0
 
-# A certified solve checks its duality gap (one L.forward) every this many
-# iterations; checking every iteration took as many iterations and more time.
+# A solve checks its duality gap (one L.forward) every this many iterations;
+# checking every iteration took as many iterations and more time.
 _GAP_CHECK_INTERVAL = 5
 
 
@@ -161,25 +161,23 @@ def _project_into(X, r):
         np.clip(r, X.lower, X.upper, out=r)
 
 
-def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, certify=False):
+def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
-    [-gamma, gamma], momentum t_1 = 1, t_{k+1} = (k+5)/3, and stop rule
-    ||x_{k+1} - x_k|| < eps * ||x_k||, or ||x_{k+1} - x_k|| at or below the
-    roundoff floor _ROUNDOFF_FLOOR * eps_machine * ||z||.
-
-    With certify, the relative-change rule is replaced by a certificate:
-    every _GAP_CHECK_INTERVAL iterations, stop once the duality gap of the
-    current pair is G <= eps * P (duality_gap, one L.forward).  The result's
-    gap is G/P at the last check (nan when none was made).
+    [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The solve has
+    converged once the duality gap, checked every _GAP_CHECK_INTERVAL
+    iterations (duality_gap, one L.forward), is G <= eps * P, or once
+    ||x_{k+1} - x_k|| is at or below the roundoff floor
+    _ROUNDOFF_FLOOR * eps_machine * ||z||; it stops unconverged after
+    cfg.max_iters iterations.  The result's gap is G/P at the last check.
 
     a_k = L^T u_k is carried across iterations, and the momentum point
     v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
     linearity, a_{k+1} + beta_k (a_{k+1} - a_k).  One L and one L^T call
-    per iteration, plus one to open with a = L^T u, where u is L z on a
-    cold start and a copy of warm_u on a warm one; a_{k+1} is computed
-    fresh from u_{k+1}, so no error builds up.
+    per iteration and one L per gap check, plus one to open with a = L^T u,
+    where u is L z on a cold start and a copy of warm_u on a warm one;
+    a_{k+1} is computed fresh from u_{k+1}, so no error builds up.
 
     Each solve owns six arrays, made when it starts: on the dual side u and
     v, with the ascent step's L applied into L.workspace; on the primal
@@ -188,9 +186,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, certify=False):
     only numpy's iteration buffers for strided reads come and go per call.
     u_{k+1} is formed in v's buffer and v_{k+1} in u's, likewise a_{k+1}
     in a_v's and a_{v,k+1} in a's; a_v's buffer first holds
-    Proj_X(z - a_v), and x's the change x_next - x once ||x|| is taken.
-    z and warm_u are only read, and the result's arrays are buffers of this
-    solve alone.
+    Proj_X(z - a_v), and x's the change x_next - x, then the gap check's
+    x_next - z.  z and warm_u are only read, and the result's arrays are
+    buffers of this solve alone.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -235,13 +233,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, certify=False):
         u, v, a, a_v, t = u_next, u, a_next, a, t_next
         np.subtract(z, a, out=x_next)
         _project_into(X, x_next)
-        relative = None if certify else cfg.epsilon * np.linalg.norm(x)
         # x_k is no longer needed: its buffer takes the change.
-        diff = np.linalg.norm(np.subtract(x_next, x, out=x))
-        done = diff <= floor
-        if not certify:
-            done = done or diff < relative
-        elif k % _GAP_CHECK_INTERVAL == 0:
+        done = np.linalg.norm(np.subtract(x_next, x, out=x)) <= floor
+        if k % _GAP_CHECK_INTERVAL == 0:
             gap, primal = duality_gap(L, gamma, z, x_next, u, x)
             ratio = gap / primal if primal > 0.0 else 0.0
             done = done or gap <= cfg.epsilon * primal

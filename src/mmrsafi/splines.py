@@ -31,9 +31,10 @@ class LinearSpline:
         d = self.values
         m = self.half_count
         # Fractional grid coordinate; clamping the segment index realizes the
-        # boundary-slope linear extrapolation of the two outer branches.
+        # boundary-slope linear extrapolation of the two outer branches.  g is
+        # clamped before the cast, which a coordinate beyond int64 would wrap.
         g = x / self.delta + m
-        j = np.clip(np.floor(g).astype(np.int64), 0, 2 * m - 1)
+        j = np.floor(np.clip(g, 0, 2 * m - 1)).astype(np.int64)
         frac = g - j
         out = d[j] + (d[j + 1] - d[j]) * frac
         return out if out.ndim else float(out)
@@ -62,7 +63,7 @@ class HalfLineSpline:
         d = self.values
         m = d.size - 1
         g = x / self.delta
-        j = np.minimum(np.floor(g).astype(np.int64), m - 1)
+        j = np.floor(np.minimum(g, m - 1)).astype(np.int64)
         frac = np.minimum(g - j, 1.0)   # constant beyond the last knot
         out = d[j] + (d[j + 1] - d[j]) * frac
         return out if out.ndim else float(out)

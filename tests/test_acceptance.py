@@ -38,8 +38,8 @@ def report(number, description, ok):
 def test_criterion_01_prox_oracle_equivalence():
     rng = Rng(101)
     bank = difference_bank()
-    # rho=1 cannot self-certify at 1e-10 on boundary-degenerate instances;
-    # any rho converges to the same point, and rho=3 certifies all 50.
+    # rho=1 cannot pass its own 1e-10 convergence check on boundary-degenerate
+    # instances; any rho converges to the same point, and rho=3 passes all 50.
     oracle_cfg = AdmmConfig(rho=3.0, iters=60000)
     start = time.monotonic()
     worst = 0.0

@@ -222,3 +222,55 @@ def test_bad_archive_rejected(capsys, tmp_path, phantom_pgm, name, edit,
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# The probe's one-array mutations of a parameter archive (None drops it).
+PROBE_MUTATIONS = {
+    "drop": None,
+    "empty": lambda a: a[:0],
+    "reshape": lambda a: a.reshape(-1) if a.ndim > 1 else a.reshape(1, -1),
+    "stack": lambda a: np.stack([a, a]),
+    "halve": lambda a: 0.5 * a,
+    "zero": np.zeros_like,
+    "negate": np.negative,
+    "scale": lambda a: 1e300 * a}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mutated_archives_run_or_are_rejected(capsys, tmp_path, phantom_pgm):
+    # Every array of both default archives, mutated one way at a time, and a
+    # grid spacing of 1e-20: a seeded denoise run ends with a finite image
+    # (exit 0) or is refused with an error line (exit 1), never with a
+    # traceback.  Extreme values overflow on the way to a refusal, so
+    # numpy's RuntimeWarnings are expected here.
+    params, out = tmp_path / "mutated.bin", tmp_path / "recon.pgm"
+    misbehaved = []
+    for scheme, source, delta in (
+            ("mmr", mmr_to_archive(default_tv_model()), "sigma.delta"),
+            ("safi", safi_to_archive(default_safi_model()), "phi.delta")):
+        cases = [(name, label, edit) for name in source.names()
+                 for label, edit in PROBE_MUTATIONS.items()]
+        cases.append((delta, "1e-20", lambda a: np.full_like(a, 1e-20)))
+        for name, label, edit in cases:
+            archive = ParamArchive()
+            for key in source.names():
+                if key != name:
+                    archive.add(key, source.get(key))
+                elif edit is not None:
+                    archive.add(key, edit(source.get(key)))
+            archive_write(params, archive)
+            out.unlink(missing_ok=True)
+            code = main(["denoise", "--input", str(phantom_pgm),
+                         "--output", str(out), "--scheme", scheme,
+                         "--seed", "5", "--k-out", "2",
+                         "--params", str(params)])
+            captured = capsys.readouterr()
+            if code == 0:
+                ok = (out.exists()
+                      and np.isfinite(float(captured.out.split()[1])))
+            else:
+                ok = (code == 1 and captured.err.startswith("error: ")
+                      and not out.exists())
+            if not ok:
+                misbehaved.append(f"{scheme} {name} {label}: exit {code}")
+    assert misbehaved == []

@@ -6,7 +6,7 @@ import pytest
 from helpers import random_mmr_model, random_safi_model
 from mmrsafi import schemes
 from mmrsafi.core import Rng, psnr
-from mmrsafi.fbs import SolverConfig, fbs_solve
+from mmrsafi.fbs import SolverConfig, fbs_solve, tol_fbs
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, box_bank,
@@ -335,8 +335,8 @@ def test_trace_reports_inner_solves():
         phantom, 0.05, Rng(20)), SolverConfig())
     assert trace.fbs_iterations == [1] and trace.fbs_converged == [True]
     assert trace.prox_unconverged == [0] and trace.prox_iterations[0] >= 1
-    # The one-step identity path makes no certificate check.
-    assert np.isnan(trace.prox_gaps[0])
+    # The one-step identity path certifies its prox at 25 * eps_fbs.
+    assert 0.0 <= trace.prox_gaps[0] <= 25 * tol_fbs(1)
 
 
 def test_schemes_run_on_a_dense_matrix_operator():

@@ -34,6 +34,16 @@ def test_spline_linear_extrapolation():
     assert s(-3.0) == pytest.approx(-2.0, abs=1e-14)
 
 
+def test_spline_coordinates_beyond_int64():
+    # x / delta beyond the int64 range still lands in the outer segments.
+    assert LinearSpline(1.0, [5.0, 0.0, 1.0])(5e19) == pytest.approx(5e19)
+    assert LinearSpline(1.0, [5.0, 0.0, 1.0])(-5e19) == pytest.approx(25e19)
+    sigma = HalfLineSpline(1e-20, [1.0, 0.5, 0.0])
+    assert sigma(0.5) == 0.0
+    assert np.array_equal(sigma(np.array([0.0, 5e-21, 1e10])),
+                          [1.0, 0.75, 0.0])
+
+
 def test_spline_continuity_at_knots():
     rng = Rng(4)
     s = LinearSpline(0.2, rng.gaussian_array(11))
