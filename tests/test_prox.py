@@ -248,10 +248,11 @@ def prox_arrays(res):
     return [res.x, res.dual]
 
 
-def test_warm_started_solve_reads_its_inputs_only():
+@pytest.mark.parametrize("box", [False, True])
+def test_warm_started_solve_reads_its_inputs_only(box):
     rng = Rng(22)
     L = weighted_difference(rng, (8, 8))
-    X = ConstraintSet.box(0.0, 1.0)
+    X = ConstraintSet.box(0.0, 1.0) if box else ConstraintSet.all_space()
     cfg = ProxConfig(max_iters=40, epsilon=1e-12)
     cold = prox_weighted_l1(rng.gaussian_array((8, 8)), L, 0.3, X, cfg)
     z = rng.gaussian_array((8, 8))
@@ -295,7 +296,8 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_dual_iteration_live_set_is_fixed():
+@pytest.mark.parametrize("box", [False, True])
+def test_dual_iteration_live_set_is_fixed(box):
     # A solve makes its buffers once: u and v (two channels each) and four
     # images, eight image-sized arrays in all.  On top of them, each bank
     # call makes and frees its own transients (numpy's iteration buffers
@@ -306,7 +308,7 @@ def test_dual_iteration_live_set_is_fixed():
     rng = Rng(24)
     shape = (64, 64)
     L = weighted_difference(rng, shape)
-    X = ConstraintSet.box(0.0, 1.0)
+    X = ConstraintSet.box(0.0, 1.0) if box else ConstraintSet.all_space()
     z = rng.gaussian_array(shape)
     # Fill the bank's per-shape caches (norm) first.
     prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=5))
