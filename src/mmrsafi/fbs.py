@@ -52,6 +52,7 @@ class FbsResult:
     prox_iterations: int     # dual iterations summed over the prox calls
     prox_unconverged: int    # prox calls that hit their budget
     prox_gap: float          # G/P of the last prox; nan if it was unchecked
+    prox_restarts: int       # dual momentum restarts summed over the calls
 
 
 def tol_fbs(k_out):
@@ -109,7 +110,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     t = 1.0
     dual = warm_u
     h_adj_y = H.adjoint(y)
-    prox_iters = prox_unconverged = 0
+    prox_iters = prox_unconverged = prox_restarts = 0
     prox_gap = np.nan
     for k in range(1, max_iter + 1):
         # z = x_tilde - alpha * (H^T H x_tilde - H^T y), formed in the
@@ -132,6 +133,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
             x_next, dual = pres.x, pres.dual
             prox_iters += pres.iterations
             prox_unconverged += not pres.converged
+            prox_restarts += pres.restarts
             prox_gap = pres.gap
         else:
             x_next = X.project(z)
@@ -145,6 +147,6 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
         x, t = x_next, t_next
         if done:
             return FbsResult(x, dual, k, True, prox_iters, prox_unconverged,
-                             prox_gap)
+                             prox_gap, prox_restarts)
     return FbsResult(x, dual, max_iter, False, prox_iters, prox_unconverged,
-                     prox_gap)
+                     prox_gap, prox_restarts)

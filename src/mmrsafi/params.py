@@ -6,6 +6,8 @@ per-stage group-count array.  Constraints are re-applied on load, so archives
 may carry unconstrained coefficients.
 """
 
+import math
+
 import numpy as np
 
 from .fileio import ArchiveError, ParamArchive
@@ -16,6 +18,11 @@ from .splines import (ConcavePotential, HalfLineSpline, LinearSpline,
 
 _KIND_MMR = 0.0
 _KIND_SAFI = 1.0
+
+# A bank is refused when a bound B >= ||W||_2 squares past the float range:
+# the dual prox steps by 1/B^2 on the analysis bank, and a bank that large
+# maps unit images to values whose squares overflow.
+_MAX_LOG_NORM_BOUND = 0.5 * math.log(np.finfo(np.float64).max)
 
 
 def _pack_bank(archive, prefix, bank):
@@ -39,7 +46,33 @@ def _unpack_bank(archive, prefix, constraint=None):
         raise ArchiveError(f"{extra!r} has no entry in {name!r}")
     stages = [ConvStage(archive.get(f"{prefix}.s{i}"), int(g))
               for i, g in enumerate(groups)]
-    return FilterBank(stages, constraint=constraint)
+    bank = FilterBank(stages, constraint=constraint)
+    log_bound = _log_norm_bound(bank)
+    if log_bound > _MAX_LOG_NORM_BOUND:
+        raise ArchiveError(
+            f"taps of {prefix!r} are too large: its norm bound, about "
+            f"1e{log_bound / math.log(10.0):.0f}, squares past the float "
+            f"range")
+    return bank
+
+
+def _log_norm_bound(bank):
+    """log of an upper bound on ||W||_2, formed without overflow.
+
+    A stage whose largest tap magnitude is m has row sums of |taps| at most
+    ks^2 * c_in_pg * m and column sums at most ks^2 * (c_out / groups) * m,
+    and its norm is at most the root of their product; the bank's norm is
+    at most the product of its stages' norms.  -inf for a zero bank.
+    """
+    total = 0.0
+    for st in bank.stages:
+        largest = float(np.max(np.abs(st.kernels)))
+        if largest == 0.0:
+            return -math.inf
+        c_out, c_in_pg, ks, _ = st.kernels.shape
+        total += (math.log(largest) + 2.0 * math.log(ks)
+                  + 0.5 * math.log(c_in_pg * c_out / st.groups))
+    return total
 
 
 def mmr_to_archive(model):

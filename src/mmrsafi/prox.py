@@ -3,7 +3,11 @@
 The dual problem is solved with accelerated projected gradient ascent; the
 primal is recovered as Proj_X{z - L^T u}.  Each dual iteration applies L
 once and L^T once: by linearity, the adjoint of the momentum point is the
-same combination of the adjoints of the last two iterates.  Every solve is
+same combination of the adjoints of the last two iterates.  The momentum is
+restarted whenever it carries the iterate against the ascent step, the
+gradient test of O'Donoghue & Candes, "Adaptive restart for accelerated
+gradient schemes" (Found. Comput. Math., 2015); on tight solves this stops
+the oscillation that momentum alone sets off.  Every solve is
 certified: it stops once the duality gap, checked every _GAP_CHECK_INTERVAL
 iterations, is small relative to the primal value, or on a change at the
 roundoff level of z - L^T u.  The dual iterate is returned so that
@@ -129,6 +133,7 @@ class ProxResult:
     iterations: int
     converged: bool
     gap: float          # G/P at the last gap check; nan if unchecked
+    restarts: int       # iterations whose momentum was restarted
 
 
 def dual_gradient(L, X, z, u):
@@ -165,11 +170,18 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
-    [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The solve has
-    converged once the duality gap, checked every _GAP_CHECK_INTERVAL
-    iterations (duality_gap, one L.forward), is G <= eps * P, or once
-    ||x_{k+1} - x_k|| is at or below the roundoff floor
-    _ROUNDOFF_FLOOR * eps_machine * ||z||; it stops unconverged after
+    [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The momentum
+    restarts adaptively (O'Donoghue & Candes 2015): when the ascent step
+    s_k = alpha * L Proj_X(z - L^T v_k) and the move u_{k+1} - u_k have
+    <s_k, u_{k+1} - u_k> < 0, the momentum point is v_{k+1} = u_{k+1}, and
+    the schedule starts again from t = 1 and index 1.  A plain projected
+    step from a point with |u| <= gamma never fails this test, so no two
+    restarts come back to back.  The result counts the restarts.
+
+    The solve has converged once the duality gap, checked every
+    _GAP_CHECK_INTERVAL iterations (duality_gap, one L.forward), is
+    G <= eps * P, or once ||x_{k+1} - x_k|| is at or below the roundoff
+    floor _ROUNDOFF_FLOOR * eps_machine * ||z||; it stops unconverged after
     cfg.max_iters iterations.  The result's gap is G/P at the last check.
 
     a_k = L^T u_k is carried across iterations, and the momentum point
@@ -177,15 +189,17 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     linearity, a_{k+1} + beta_k (a_{k+1} - a_k).  One L and one L^T call
     per iteration and one L per gap check, plus one to open with a = L^T u,
     where u is L z on a cold start and a copy of warm_u on a warm one;
-    a_{k+1} is computed fresh from u_{k+1}, so no error builds up.
+    a_{k+1} is computed fresh from u_{k+1}, so no error builds up.  The
+    restart test costs one vdot.
 
     Each solve owns six arrays, made when it starts: on the dual side u and
     v, with the ascent step's L applied into L.workspace; on the primal
     side a = L^T u, a_v = L^T v, x and x_next.  The iteration makes no
     other array, and the bank's stencil stages read their input in place;
     only numpy's iteration buffers for strided reads come and go per call.
-    u_{k+1} is formed in v's buffer and v_{k+1} in u's, likewise a_{k+1}
-    in a_v's and a_{v,k+1} in a's; a_v's buffer first holds
+    u_{k+1} is formed in v's buffer and v_{k+1} in u's, which first holds
+    u_{k+1} - u_k for the restart test; likewise a_{k+1} in a_v's and
+    a_{v,k+1} in a's; a_v's buffer first holds
     Proj_X(z - a_v), and x's the change x_next - x, then the gap check's
     x_next - z.  z and warm_u are only read, and the result's arrays are
     buffers of this solve alone.
@@ -201,7 +215,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
         # L vanishes: the penalty is zero and the prox is the projection.
         x = z.copy()
         _project_into(X, x)
-        return ProxResult(x, np.zeros_like(L.weights), 0, True, np.nan)
+        return ProxResult(x, np.zeros_like(L.weights), 0, True, np.nan, 0)
     alpha = 1.0 / bound ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
 
@@ -210,27 +224,36 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     v, a_v = u.copy(), a.copy()
     x, x_next = np.subtract(z, a), np.empty_like(z)
     _project_into(X, x)
-    lr = L.workspace
-    t, ratio = 1.0, np.nan
+    step = L.workspace
+    t, j, restarts, ratio = 1.0, 1, 0, np.nan
     for k in range(1, cfg.max_iters + 1):
-        # u_{k+1} = clip(v + alpha * L Proj_X(z - L^T v)), in v's buffer;
-        # Proj_X(z - L^T v) is formed in a_v's, which a_{k+1} takes next.
+        # u_{k+1} = clip(v + s) for the step s = alpha * L Proj_X(z - L^T v),
+        # in v's buffer; Proj_X(z - L^T v) is formed in a_v's, which a_{k+1}
+        # takes next.
         np.subtract(z, a_v, out=a_v)
         _project_into(X, a_v)
-        np.multiply(L.forward(a_v, out=lr), alpha, out=lr)
-        np.add(v, lr, out=v)
+        np.multiply(L.forward(a_v, out=step), alpha, out=step)
+        np.add(v, step, out=v)
         u_next = np.clip(v, -gamma, gamma, out=v)
-        a_next = L.adjoint(u_next, out=a_v)
-        t_next = momentum_next(k)
-        beta = (t - 1.0) / t_next
-        # v_{k+1} in u's buffer, and its adjoint in a's.
+        # u_{k+1} - u_k in u's buffer, read against s before L^T overwrites
+        # it.  A negative product means the momentum has carried u against
+        # the ascent direction: beta = 0 then restarts it, v_{k+1} = u_{k+1},
+        # with t and momentum_next's index j back at 1.
         np.subtract(u_next, u, out=u)
+        if np.vdot(step, u) < 0.0:
+            t, j, beta = 1.0, 1, 0.0
+            restarts += 1
+        else:
+            t_next = momentum_next(j)
+            t, j, beta = t_next, j + 1, (t - 1.0) / t_next
+        # v_{k+1} in u's buffer, then a_{k+1} in a_v's and a_{v,k+1} in a's.
         np.multiply(u, beta, out=u)
         np.add(u_next, u, out=u)
+        a_next = L.adjoint(u_next, out=a_v)
         np.subtract(a_next, a, out=a)
         np.multiply(a, beta, out=a)
         np.add(a_next, a, out=a)
-        u, v, a, a_v, t = u_next, u, a_next, a, t_next
+        u, v, a, a_v = u_next, u, a_next, a
         np.subtract(z, a, out=x_next)
         _project_into(X, x_next)
         # x_k is no longer needed: its buffer takes the change.
@@ -240,5 +263,5 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
             ratio = gap / primal if primal > 0.0 else 0.0
             done = done or gap <= cfg.epsilon * primal
         if done or k == cfg.max_iters:
-            return ProxResult(x_next, u, k, bool(done), ratio)
+            return ProxResult(x_next, u, k, bool(done), ratio, restarts)
         x, x_next = x_next, x

@@ -80,6 +80,7 @@ class SchemeTrace:
     prox_iterations: list = field(default_factory=list)   # summed per step
     prox_unconverged: list = field(default_factory=list)  # prox calls at cap
     prox_gaps: list = field(default_factory=list)         # G/P of last prox
+    prox_restarts: list = field(default_factory=list)     # summed per step
 
     def record_solve(self, res):
         """Append the iteration counts and flags of one FBS solve."""
@@ -88,6 +89,7 @@ class SchemeTrace:
         self.prox_iterations.append(res.prox_iterations)
         self.prox_unconverged.append(res.prox_unconverged)
         self.prox_gaps.append(res.prox_gap)
+        self.prox_restarts.append(res.prox_restarts)
 
 
 def _per_channel(fns, u):

@@ -106,10 +106,11 @@ class ConcavePotential:
         d = sigma.values
         knots = [0.0]
         for j in range(d.size - 1):
-            # Points strictly inside the segment where sigma crosses 0 or 1.
+            # Points strictly inside the segment where sigma crosses 0 or 1,
+            # found by comparison: a product of offsets overflows for huge d.
+            low, high = sorted((d[j], d[j + 1]))
             cuts = sorted((level - d[j]) / (d[j + 1] - d[j])
-                          for level in (0.0, 1.0)
-                          if (d[j] - level) * (d[j + 1] - level) < 0)
+                          for level in (0.0, 1.0) if low < level < high)
             knots += [(j + t) * sigma.delta for t in cuts]
             knots.append((j + 1) * sigma.delta)
         # A crossing that rounds onto a grid point would repeat a knot.

@@ -55,7 +55,7 @@ def test_criterion_01_prox_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(res.x.ravel() - ref))))
     elapsed = time.monotonic() - start
     report(1, f"prox vs ADMM oracle, 50 instances: max dev {worst:.2e} "
-              f"({elapsed:.1f}s)", worst < 1e-6 and elapsed < 30.0)
+              f"({elapsed:.1f}s, bound 30s)", worst < 1e-6 and elapsed < 30.0)
 
 
 def test_criterion_02_soft_threshold_exactness():
@@ -262,7 +262,8 @@ def test_criterion_09_initialization_robustness():
                 worst = max(worst, float(rel))
     elapsed = time.monotonic() - start
     report(9, f"initialization robustness: worst pairwise rel {worst:.2e} "
-              f"({elapsed:.1f}s)", worst < 1e-3 and elapsed < 120.0)
+              f"({elapsed:.1f}s, bound 120s)",
+           worst < 1e-3 and elapsed < 120.0)
 
 
 def test_criterion_10_spline_and_mask_invariants():

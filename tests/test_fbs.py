@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmrsafi import prox
+from mmrsafi import fbs, prox
 from mmrsafi.core import Rng
 from mmrsafi.fbs import (NumericalError, SolverConfig, fbs_solve,
                          momentum_next, tol_fbs, tol_prox)
@@ -192,6 +192,48 @@ def test_prox_counts_summed_over_inner_calls():
     free = fbs_solve(H, y, L, 0.0, np.zeros((4, 4)), 1,
                      SolverConfig(k_fbs=5), X)
     assert free.prox_iterations == free.prox_unconverged == 0
+    assert free.prox_restarts == 0
+
+
+def test_prox_restarts_summed_over_inner_calls(monkeypatch):
+    rng = Rng(8)
+    H = MatrixOp(rng.gaussian_array((80, 64)) + 2.0 * np.eye(80, 64), (8, 8))
+    y = rng.gaussian_array(80)
+    L = WeightedAnalysisOperator(difference_bank(),
+                                 rng.uniform_array((2, 8, 8)))
+    restarts = []
+
+    def recording_prox(*args, **kwargs):
+        res = prox_weighted_l1(*args, **kwargs)
+        restarts.append(res.restarts)
+        return res
+
+    monkeypatch.setattr(fbs, "prox_weighted_l1", recording_prox)
+    res = fbs_solve(H, y, L, 0.1, np.zeros((8, 8)), 1,
+                    SolverConfig(k_fbs=5, k_prox=20000, eps_prox=1e-13),
+                    ConstraintSet.all_space())
+    assert len(restarts) == res.iterations
+    assert res.prox_restarts == sum(restarts) > 0
+
+
+def test_loose_warm_started_mri_solve_makes_no_restart():
+    # The MRI path's prox solves are warm-started and loose (tol_prox), so
+    # their momentum has no time to overshoot: no restart fires, and the
+    # iterates are those of plain accelerated ascent.
+    n = 64
+    H = MaskedDftOp(make_cartesian_mask(n, 4, 0.08, Rng(1)), n, n)
+    y = add_noise(H.forward(make_phantom(n)), 2e-3, Rng(2))
+    X = ConstraintSet.box(0.0, 1.0)
+    cold = fbs_solve(H, y, ones_difference((n, n)), 1e-3, np.zeros((n, n)),
+                     1, SolverConfig(), X)
+    L = WeightedAnalysisOperator(difference_bank(),
+                                 mask_mmr(default_tv_model(), cold.x))
+    warm = fbs_solve(H, y, L, 1e-3, cold.x, 2, SolverConfig(), X,
+                     warm_u=cold.dual)
+    for res in (cold, warm):
+        assert res.converged and res.prox_unconverged == 0
+        assert res.prox_iterations > res.iterations
+        assert res.prox_restarts == 0
 
 
 class Counting:

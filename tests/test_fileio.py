@@ -5,7 +5,9 @@ from mmrsafi.core import Rng
 from mmrsafi.fileio import (ArchiveError, ParamArchive, PgmError, archive_read,
                             archive_write, pgm_read, pgm_write,
                             write_trace_csv)
-from mmrsafi.params import model_from_archive, mmr_to_archive, safi_to_archive
+from mmrsafi.linops import ConvStage, FilterBank
+from mmrsafi.params import (_log_norm_bound, model_from_archive,
+                            mmr_to_archive, safi_to_archive)
 from mmrsafi.schemes import (SchemeTrace, default_safi_model, default_tv_model,
                              mask_mmr, mask_safi)
 
@@ -89,6 +91,17 @@ def test_safi_model_roundtrip(tmp_path):
     assert again.lam == 0.2
     x = Rng(2).gaussian_array((8, 8))
     assert np.max(np.abs(mask_safi(model, x) - mask_safi(again, x))) < 1e-14
+
+
+def test_load_time_norm_bound_holds():
+    # The bound that refuses oversized banks at load is a true upper bound.
+    rng = Rng(3)
+    safi = default_safi_model()
+    banks = [default_tv_model().B, safi.W, safi.Wt, safi.Bt, safi.Bh,
+             FilterBank([ConvStage(rng.gaussian_array((4, 1, 3, 3))),
+                         ConvStage(rng.gaussian_array((4, 2, 5, 5)), 2)])]
+    for bank in banks:
+        assert _log_norm_bound(bank) >= np.log(bank.norm((16, 16)))
 
 
 @pytest.mark.parametrize("maxval", [255, 65535])

@@ -331,6 +331,9 @@ def test_trace_reports_inner_solves():
         assert all(0 <= n <= 3 for n in trace.prox_unconverged)
         assert len(trace.prox_gaps) == steps
         assert all(g >= 0.0 for g in trace.prox_gaps)
+        assert len(trace.prox_restarts) == steps
+        assert all(0 <= n <= m for n, m in zip(trace.prox_restarts,
+                                                trace.prox_iterations))
     _, trace = run_cvx(default_tv_model(), IdentityOp(), add_noise(
         phantom, 0.05, Rng(20)), SolverConfig())
     assert trace.fbs_iterations == [1] and trace.fbs_converged == [True]

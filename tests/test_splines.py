@@ -141,6 +141,18 @@ def test_potential_is_the_integral_of_its_derivative(values, crossings):
         assert pot(x) == pytest.approx(ref, abs=1e-12)
 
 
+def test_potential_of_a_huge_sigma_builds_without_overflow():
+    # A sigma of 1e300 times a decreasing positive profile never falls to 1,
+    # so psi' = 1 and psi(x) = x; the crossing test must not overflow.
+    sigma = HalfLineSpline(1.0, 1e300 * np.array([1.5, 0.5, 0.2, 0.1]))
+    x = np.array([0.5, 2.0, 7.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pot = ConcavePotential(sigma, r=1.0)
+        values = pot(x)
+    assert np.array_equal(values, x)
+
+
 def test_potential_concavity():
     rng = Rng(33)
     pot = random_potential(rng)
