@@ -8,14 +8,17 @@ restarted whenever it carries the iterate against the ascent step, the
 gradient test of O'Donoghue & Candes, "Adaptive restart for accelerated
 gradient schemes" (Found. Comput. Math., 2015); on tight solves this stops
 the oscillation that momentum alone sets off.  Every solve is
-certified: it stops once the duality gap, checked every _GAP_CHECK_INTERVAL
-iterations, is small relative to the primal value, or on a change at the
-roundoff level of z - L^T u.  The dual iterate is returned so that
-consecutive solves can be warm-started; a warm start passes only the dual,
-and the solve opens with one L^T of it, as a cold start does.
+certified: every _GAP_CHECK_INTERVAL iterations it forms its primal point
+and stops once the duality gap there is small relative to the primal value,
+or once the change of L^T u since the last iteration is at the roundoff
+level of z - L^T u.  The dual iterate is returned so that consecutive
+solves can be warm-started; a warm start passes only the dual, and the
+solve opens with one L^T of it, as a cold start does.
 
 The dual step is 1/B^2 for a certified upper bound B >= ||L||_2, which is
-what the accelerated projected gradient method needs to converge.
+what the accelerated projected gradient method needs to converge.  It
+scales the image-sized point before L is applied, so L never sees a point
+of size ||L||^2 ||z||.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ import numpy as np
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .linops import operator_norm  # noqa: F401
 
-# Primal changes at most this many machine epsilons times ||z|| are below
+# Changes of L^T u at most this many machine epsilons times ||z|| are below
 # what z - L^T u resolves, so the stop rule treats them as no change.
 _ROUNDOFF_FLOOR = 4.0
 
@@ -170,19 +173,25 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
-    [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The momentum
-    restarts adaptively (O'Donoghue & Candes 2015): when the ascent step
-    s_k = alpha * L Proj_X(z - L^T v_k) and the move u_{k+1} - u_k have
-    <s_k, u_{k+1} - u_k> < 0, the momentum point is v_{k+1} = u_{k+1}, and
-    the schedule starts again from t = 1 and index 1.  A plain projected
-    step from a point with |u| <= gamma never fails this test, so no two
-    restarts come back to back.  The result counts the restarts.
+    [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The ascent
+    step is s_k = L(alpha * Proj_X(z - L^T v_k)) with alpha = 1/B^2: the
+    step size multiplies the image before L.forward, not the dual-sized
+    result after it.  The momentum restarts adaptively (O'Donoghue & Candes
+    2015): when s_k and the move u_{k+1} - u_k have <s_k, u_{k+1} - u_k> < 0,
+    the momentum point is v_{k+1} = u_{k+1}, and the schedule starts again
+    from t = 1 and index 1.  A plain projected step from a point with
+    |u| <= gamma never fails this test, so no two restarts come back to
+    back.  The result counts the restarts.
 
-    The solve has converged once the duality gap, checked every
-    _GAP_CHECK_INTERVAL iterations (duality_gap, one L.forward), is
-    G <= eps * P, or once ||x_{k+1} - x_k|| is at or below the roundoff
-    floor _ROUNDOFF_FLOOR * eps_machine * ||z||; it stops unconverged after
-    cfg.max_iters iterations.  The result's gap is G/P at the last check.
+    Every _GAP_CHECK_INTERVAL iterations the solve forms its primal point
+    x_{k+1} = Proj_X(z - a_{k+1}) and checks it: it has converged once the
+    duality gap at (x_{k+1}, u_{k+1}) is G <= eps * P (duality_gap, one
+    L.forward), or once ||a_{k+1} - a_k|| is at or below the roundoff floor
+    _ROUNDOFF_FLOOR * eps_machine * ||z||.  On all of R^N that norm is the
+    primal change ||x_{k+1} - x_k||, and on a box it bounds it from above.
+    The solve stops unconverged after cfg.max_iters iterations, forming x
+    there too; on no other iteration is x formed.  The result's gap is G/P
+    at the last check, nan when the budget ends before the first.
 
     a_k = L^T u_k is carried across iterations, and the momentum point
     v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
@@ -194,15 +203,15 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
 
     Each solve owns six arrays, made when it starts: on the dual side u and
     v, with the ascent step's L applied into L.workspace; on the primal
-    side a = L^T u, a_v = L^T v, x and x_next.  The iteration makes no
-    other array, and the bank's stencil stages read their input in place;
-    only numpy's iteration buffers for strided reads come and go per call.
-    u_{k+1} is formed in v's buffer and v_{k+1} in u's, which first holds
-    u_{k+1} - u_k for the restart test; likewise a_{k+1} in a_v's and
-    a_{v,k+1} in a's; a_v's buffer first holds
-    Proj_X(z - a_v), and x's the change x_next - x, then the gap check's
-    x_next - z.  z and warm_u are only read, and the result's arrays are
-    buffers of this solve alone.
+    side a = L^T u, a_v = L^T v, x and the gap check's work.  The iteration
+    makes no other array, and the bank's stencil stages read their input in
+    place; only numpy's iteration buffers for strided reads come and go per
+    call.  u_{k+1} is formed in v's buffer and v_{k+1} in u's, which first
+    holds u_{k+1} - u_k for the restart test; likewise a_{k+1} in a_v's and
+    a_{v,k+1} in a's, which first holds a_{k+1} - a_k for the floor test.
+    a_v's buffer first holds alpha * Proj_X(z - a_v), the point L.forward
+    reads; work holds the gap check's x - z.  z and warm_u are only read,
+    and the result's arrays are buffers of this solve alone.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -222,17 +231,16 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     u = L.forward(z) if warm_u is None else np.array(warm_u, dtype=np.float64)
     a = L.adjoint(u)
     v, a_v = u.copy(), a.copy()
-    x, x_next = np.subtract(z, a), np.empty_like(z)
-    _project_into(X, x)
+    x, work = np.empty_like(z), np.empty_like(z)
     step = L.workspace
     t, j, restarts, ratio = 1.0, 1, 0, np.nan
     for k in range(1, cfg.max_iters + 1):
-        # u_{k+1} = clip(v + s) for the step s = alpha * L Proj_X(z - L^T v),
-        # in v's buffer; Proj_X(z - L^T v) is formed in a_v's, which a_{k+1}
-        # takes next.
+        # u_{k+1} = clip(v + s) for the step s = L(alpha * Proj_X(z - L^T v)),
+        # in v's buffer; alpha * Proj_X(z - L^T v) is formed in a_v's, which
+        # a_{k+1} takes next.
         np.subtract(z, a_v, out=a_v)
         _project_into(X, a_v)
-        np.multiply(L.forward(a_v, out=step), alpha, out=step)
+        L.forward(np.multiply(a_v, alpha, out=a_v), out=step)
         np.add(v, step, out=v)
         u_next = np.clip(v, -gamma, gamma, out=v)
         # u_{k+1} - u_k in u's buffer, read against s before L^T overwrites
@@ -246,22 +254,23 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
         else:
             t_next = momentum_next(j)
             t, j, beta = t_next, j + 1, (t - 1.0) / t_next
-        # v_{k+1} in u's buffer, then a_{k+1} in a_v's and a_{v,k+1} in a's.
+        # v_{k+1} in u's buffer, then a_{k+1} in a_v's and a_{v,k+1} in a's,
+        # which first holds a_{k+1} - a_k for the roundoff-floor test.
         np.multiply(u, beta, out=u)
         np.add(u_next, u, out=u)
         a_next = L.adjoint(u_next, out=a_v)
         np.subtract(a_next, a, out=a)
+        check = k % _GAP_CHECK_INTERVAL == 0
+        done = check and np.linalg.norm(a) <= floor
         np.multiply(a, beta, out=a)
         np.add(a_next, a, out=a)
         u, v, a, a_v = u_next, u, a_next, a
-        np.subtract(z, a, out=x_next)
-        _project_into(X, x_next)
-        # x_k is no longer needed: its buffer takes the change.
-        done = np.linalg.norm(np.subtract(x_next, x, out=x)) <= floor
-        if k % _GAP_CHECK_INTERVAL == 0:
-            gap, primal = duality_gap(L, gamma, z, x_next, u, x)
-            ratio = gap / primal if primal > 0.0 else 0.0
-            done = done or gap <= cfg.epsilon * primal
-        if done or k == cfg.max_iters:
-            return ProxResult(x_next, u, k, bool(done), ratio, restarts)
-        x, x_next = x_next, x
+        if check or k == cfg.max_iters:
+            np.subtract(z, a, out=x)
+            _project_into(X, x)
+            if check:
+                gap, primal = duality_gap(L, gamma, z, x, u, work)
+                ratio = gap / primal if primal > 0.0 else 0.0
+                done = done or gap <= cfg.epsilon * primal
+            if done or k == cfg.max_iters:
+                return ProxResult(x, u, k, bool(done), ratio, restarts)

@@ -103,25 +103,35 @@ class ConcavePotential:
         self.r = float(r)
         # Knots, clipped values, cumulative integrals and slopes in the
         # argument u = r*x; the appended zero slope is sigma's constant tail.
+        # psi' at a crossing is the level crossed, not sigma read there,
+        # whose roundoff scales with |d|.
         d = sigma.values
-        knots = [0.0]
+        knots, levels = [0.0], [np.nan]
         for j in range(d.size - 1):
-            # Points strictly inside the segment where sigma crosses 0 or 1,
-            # found by comparison: a product of offsets overflows for huge d.
+            # Points inside the segment where sigma crosses 0 or 1, in the
+            # order it crosses them, found by comparison: a product of
+            # offsets overflows for huge d.
             low, high = sorted((d[j], d[j + 1]))
-            cuts = sorted((level - d[j]) / (d[j + 1] - d[j])
-                          for level in (0.0, 1.0) if low < level < high)
-            knots += [(j + t) * sigma.delta for t in cuts]
+            for level in ((1.0, 0.0) if d[j + 1] < d[j] else (0.0, 1.0)):
+                if low < level < high:
+                    t = (level - d[j]) / (d[j + 1] - d[j])
+                    knots.append((j + t) * sigma.delta)
+                    levels.append(level)
             knots.append((j + 1) * sigma.delta)
-        # A crossing that rounds onto a grid point would repeat a knot.
-        knots = np.array(knots)
-        self._knots = knots[np.diff(knots, prepend=-1.0) > 0]
-        v = np.clip(sigma(self._knots), 0.0, 1.0)
+            levels.append(np.nan)
+        # Crossings that round onto one point, or onto a grid point, repeat
+        # a knot: psi' steps there, over a segment of zero width.
+        self._knots = np.array(knots)
+        levels = np.array(levels)
+        v = np.where(np.isnan(levels),
+                     np.clip(sigma(self._knots), 0.0, 1.0), levels)
         steps = np.diff(self._knots)
         self._values = v
         self._integrals = np.concatenate(
             ([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * steps)))
-        self._slopes = np.append(np.diff(v) / steps, 0.0)
+        slopes = np.divide(np.diff(v), steps, out=np.zeros_like(steps),
+                           where=steps > 0)
+        self._slopes = np.append(slopes, 0.0)
 
     def derivative(self, x):
         """psi'(x) for x >= 0."""

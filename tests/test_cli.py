@@ -234,7 +234,9 @@ PROBE_MUTATIONS = {
     "halve": lambda a: 0.5 * a,
     "zero": np.zeros_like,
     "negate": np.negative,
-    "scale": lambda a: 1e300 * a}
+    "scale": lambda a: 1e300 * a,
+    "scale-1e100": lambda a: 1e100 * a,
+    "scale-1e150": lambda a: 1e150 * a}
 
 
 def test_mutated_archives_run_or_are_rejected(capsys, tmp_path, phantom_pgm):

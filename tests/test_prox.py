@@ -351,11 +351,12 @@ class CountingOperator:
 def two_adjoint_prox(z, L, gamma, X, cfg):
     """The dual iteration with L^T applied to v and to u_{k+1} separately,
     restarting its momentum whenever <s, u_{k+1} - u_k> < 0 for the step s;
-    stops on the duality gap written out here; returns (x, iterations)."""
+    every fifth iteration it stops on the duality gap written out here or
+    on a change of L^T u at the roundoff floor; returns (x, iterations)."""
     alpha = 1.0 / L.norm_bound() ** 2
     floor = _ROUNDOFF_FLOOR * np.finfo(np.float64).eps * np.linalg.norm(z)
     u = v = L.forward(z)
-    x = X.project(z - L.adjoint(u))
+    a = L.adjoint(u)
     t, j = 1.0, 1
     for k in range(1, cfg.max_iters + 1):
         s = alpha * dual_gradient(L, X, z, v)
@@ -366,18 +367,17 @@ def two_adjoint_prox(z, L, gamma, X, cfg):
             t_next = (j + 5.0) / 3.0
             v = u_next + ((t - 1.0) / t_next) * (u_next - u)
             t, j = t_next, j + 1
-        x_next = X.project(z - L.adjoint(u_next))
-        done = np.linalg.norm(x_next - x) <= floor
+        a_next = L.adjoint(u_next)
         if k % 5 == 0:
-            lx = L.forward(x_next)
+            x = X.project(z - a_next)
+            lx = L.forward(x)
             penalty = gamma * np.sum(np.abs(lx))
-            primal = 0.5 * np.sum((x_next - z) ** 2) + penalty
-            done = done or penalty - np.sum(u_next * lx) <= (
-                cfg.epsilon * primal)
-        u, x = u_next, x_next
-        if done:
-            return x, k
-    return x, cfg.max_iters
+            primal = 0.5 * np.sum((x - z) ** 2) + penalty
+            if (np.linalg.norm(a_next - a) <= floor
+                    or penalty - np.sum(u_next * lx) <= cfg.epsilon * primal):
+                return x, k
+        u, a = u_next, a_next
+    return X.project(z - a), cfg.max_iters
 
 
 def test_one_forward_and_one_adjoint_per_iteration():
@@ -558,6 +558,26 @@ def test_certified_prox_stops_on_its_duality_gap():
         assert res.converged and res.iterations % 5 == 0
         assert 0.0 <= gap <= eps * primal
         assert res.gap == gap / primal
+
+
+@pytest.mark.parametrize("X", [ConstraintSet.all_space(),
+                               ConstraintSet.box(0.0, 1.0)],
+                         ids=["all_space", "box"])
+def test_roundoff_floor_ends_a_solve_at_a_check(X):
+    # At epsilon = 1e-300 the gap, which roundoff keeps far above eps * P,
+    # cannot end the solve: the change of L^T u reaching the roundoff floor
+    # does, read at a gap check, so the result still carries a finite G/P.
+    rng = Rng(65)
+    L = weighted_difference(rng, (8, 8))
+    z = rng.gaussian_array((8, 8))
+    cfg = ProxConfig(max_iters=20000, epsilon=1e-300)
+    res = prox_weighted_l1(z, L, 0.3, X, cfg)
+    assert res.converged and res.iterations < cfg.max_iters
+    assert res.iterations % 5 == 0
+    assert np.isfinite(res.gap) and res.gap > cfg.epsilon
+    x_ref, iters_ref = two_adjoint_prox(z, L, 0.3, X, cfg)
+    assert res.iterations == iters_ref
+    assert np.max(np.abs(res.x - x_ref)) < 1e-12
 
 
 def test_certified_prox_out_of_budget_is_unconverged():

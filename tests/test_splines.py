@@ -153,6 +153,24 @@ def test_potential_of_a_huge_sigma_builds_without_overflow():
     assert np.array_equal(values, x)
 
 
+def test_potential_steps_where_huge_crossings_round_to_one_knot():
+    # sigma falls from 0.2e300 to -1e300 on [2, 3]: it crosses 1 and 0
+    # about 1e-300 apart, at one knot in floating point, where psi' must
+    # step from 1 to 0 rather than ramp down over the rest of the segment.
+    sigma = HalfLineSpline(1.0, 1e300 * np.array([1.5, 0.5, 0.2, -1.0]))
+    crossing = 2.0 + 0.2 / 1.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pot = ConcavePotential(sigma, r=1.0)
+        for x in (0.5, 2.0, 2.5, 4.0):
+            pieces = [0.0] + [b for b in (1.0, 2.0, crossing, 3.0) if b < x]
+            pieces.append(x)
+            ref = sum(quad(pot.derivative, a, b, epsabs=1e-14)[0]
+                      for a, b in zip(pieces[:-1], pieces[1:]))
+            assert pot(x) == pytest.approx(ref, abs=1e-12)
+    assert pot(4.0) == pytest.approx(crossing, abs=1e-12)
+
+
 def test_potential_concavity():
     rng = Rng(33)
     pot = random_potential(rng)
