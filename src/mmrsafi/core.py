@@ -61,7 +61,7 @@ class Rng:
 def psnr(reference, test):
     """Peak signal-to-noise ratio in dB for unit-range images.
 
-    Returns np.inf when the images coincide (zero MSE).
+    A Python float; np.inf when the images coincide (zero MSE).
     """
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
@@ -71,7 +71,7 @@ def psnr(reference, test):
     mse = np.mean((reference - test) ** 2)
     if mse == 0.0:
         return np.inf
-    return 10.0 * np.log10(1.0 / mse)
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def relative_change(x_new, x_old):

@@ -64,10 +64,10 @@ def tol_fbs(k_out):
     return 1e-5
 
 
-def tol_prox(k_out, k_fbs, eps_fbs):
+def tol_prox(k_fbs, eps_fbs):
     """Prox tolerance inside FBS iteration k_fbs (general H)."""
-    if k_out < 1 or k_fbs < 1:
-        raise ValueError("iteration indices must be >= 1")
+    if k_fbs < 1:
+        raise ValueError("FBS iteration index must be >= 1")
     if k_fbs <= 50:
         return 3.0 * eps_fbs * (1.0 / 9.0) ** (k_fbs / 50.0)
     return eps_fbs / 3.0
@@ -125,7 +125,7 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
             elif identity:
                 eps_prox = _IDENTITY_GAP_FACTOR * eps_fbs
             else:
-                eps_prox = tol_prox(k_out, k, eps_fbs)
+                eps_prox = tol_prox(k, eps_fbs)
             pres = prox_weighted_l1(
                 z, L, alpha * lam, X,
                 ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),

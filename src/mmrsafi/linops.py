@@ -1,8 +1,10 @@
-"""Constrained convolutional filter banks and linear-operator utilities.
+"""Periodic convolutional filter banks and linear-operator utilities.
 
-Banks are stacks of periodic (circular) 2-D correlation stages.  Periodic
-boundaries keep adjoints exact, make zero-mean kernels annihilate constants,
-and give positive-normalized kernels exact row and column sums of one.
+Banks are stacks of periodic (circular) 2-D correlation stages, applied
+with their kernels as given.  Periodic boundaries keep adjoints exact, make
+zero-mean kernels annihilate constants, and give nonnegative unit-sum
+kernels exact row and column sums of one; project_zero_mean and
+project_positive_normalized put a stack of kernels in those forms.
 Stages with few nonzero taps per channel are applied directly as periodic
 stencils, each tap reading the one to four blocks of its wrapped shift
 straight from the input; dense multi-channel stages go through FFT
@@ -22,26 +24,20 @@ from .core import Rng
 
 
 def project_zero_mean(taps):
-    """Shift kernel taps so that they sum to zero. Idempotent."""
+    """Shift each kernel, over the last two axes, so that its taps sum to
+    zero.  Idempotent."""
     taps = np.asarray(taps, dtype=np.float64)
-    return taps - taps.mean()
+    return taps - taps.mean(axis=(-2, -1), keepdims=True)
 
 
 def project_positive_normalized(taps):
-    """Map taps to |taps| / sum(|taps|): nonnegative, summing to one."""
-    taps = np.asarray(taps, dtype=np.float64)
-    mag = np.abs(taps)
-    total = mag.sum()
-    if total == 0.0:
+    """Map each kernel, over the last two axes, to |taps| / sum(|taps|):
+    nonnegative, summing to one."""
+    mag = np.abs(np.asarray(taps, dtype=np.float64))
+    total = mag.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total == 0.0):
         raise ValueError("degenerate kernel: all taps are zero")
     return mag / total
-
-
-_CONSTRAINTS = {
-    None: lambda k: np.asarray(k, dtype=np.float64),
-    "zero-mean": project_zero_mean,
-    "positive-normalized": project_positive_normalized,
-}
 
 
 @dataclass(frozen=True)
@@ -71,30 +67,22 @@ class ConvStage:
 
 
 class FilterBank:
-    """Composition of ConvStages with an optional per-kernel constraint.
+    """Composition of ConvStages, applied with their kernels as given.
 
-    Immutable after construction; forward/adjoint are pure.  Accepts 2-D
-    input (single-channel image) or a 3-D channel stack.
+    Keeps its own float64 copy of the kernels, so it is immutable after
+    construction; forward/adjoint are pure.  Accepts 2-D input
+    (single-channel image) or a 3-D channel stack.
     """
 
-    def __init__(self, stages, constraint=None):
-        if constraint not in _CONSTRAINTS:
-            raise ValueError(f"unknown constraint {constraint!r}")
+    def __init__(self, stages):
         if not stages:
             raise ValueError("a filter bank needs at least one stage")
-        proj = _CONSTRAINTS[constraint]
-        fixed = []
-        for st in stages:
-            kern = np.empty_like(np.asarray(st.kernels, dtype=np.float64))
-            for o in range(st.kernels.shape[0]):
-                for i in range(st.kernels.shape[1]):
-                    kern[o, i] = proj(st.kernels[o, i])
-            fixed.append(ConvStage(kern, st.groups))
-        for prev, nxt in zip(fixed, fixed[1:]):
+        own = [ConvStage(np.array(st.kernels, dtype=np.float64), st.groups)
+               for st in stages]
+        for prev, nxt in zip(own, own[1:]):
             if nxt.c_in != prev.c_out:
                 raise ValueError("stage channel counts do not compose")
-        self.stages = tuple(fixed)
-        self.constraint = constraint
+        self.stages = tuple(own)
         self._appliers = tuple(_applier(st) for st in self.stages)
         self._norms = {}
 
@@ -388,11 +376,10 @@ def difference_bank():
     kern[0, 0, 1, 2] = 1.0
     kern[1, 0, 1, 1] = -1.0
     kern[1, 0, 2, 1] = 1.0
-    return FilterBank([ConvStage(kern, groups=1)], constraint="zero-mean")
+    return FilterBank([ConvStage(kern, groups=1)])
 
 
 def box_bank(channels, size=3):
     """Channel-wise normalized box smoothing, one stage."""
-    kern = np.ones((channels, 1, size, size))
-    return FilterBank([ConvStage(kern, groups=channels)],
-                      constraint="positive-normalized")
+    kern = np.full((channels, 1, size, size), 1.0 / size**2)
+    return FilterBank([ConvStage(kern, groups=channels)])

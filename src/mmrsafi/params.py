@@ -2,8 +2,9 @@
 
 Kernels are stored stage-major ("W.s0", "W.s1", ...) with out-channel-major,
 row-major arrays of shape (c_out, c_in_per_group, ks, ks), alongside a
-per-stage group-count array.  Constraints are re-applied on load, so archives
-may carry unconstrained coefficients.
+per-stage group-count array.  On load, the W and Wt kernels are projected to
+zero mean and the B kernels to nonnegative unit sums, so archives may carry
+unconstrained coefficients; Bt and Bh load as stored.
 """
 
 import math
@@ -11,7 +12,8 @@ import math
 import numpy as np
 
 from .fileio import ArchiveError, ParamArchive
-from .linops import ConvStage, FilterBank
+from .linops import (ConvStage, FilterBank, project_positive_normalized,
+                     project_zero_mean)
 from .schemes import MmrModel, SafiModel
 from .splines import (ConcavePotential, HalfLineSpline, LinearSpline,
                       SigmoidSpline, project_nonincreasing)
@@ -32,7 +34,7 @@ def _pack_bank(archive, prefix, bank):
         archive.add(f"{prefix}.s{i}", st.kernels)
 
 
-def _unpack_bank(archive, prefix, constraint=None):
+def _unpack_bank(archive, prefix, project=np.asarray):
     name = f"{prefix}.groups"
     groups = archive.get(name)
     if groups.ndim != 1 or groups.size == 0:
@@ -44,9 +46,11 @@ def _unpack_bank(archive, prefix, constraint=None):
     extra = f"{prefix}.s{groups.size}"
     if extra in archive.names():
         raise ArchiveError(f"{extra!r} has no entry in {name!r}")
+    # Shapes are checked before the taps are projected.
     stages = [ConvStage(archive.get(f"{prefix}.s{i}"), int(g))
               for i, g in enumerate(groups)]
-    bank = FilterBank(stages, constraint=constraint)
+    bank = FilterBank([ConvStage(project(st.kernels), st.groups)
+                       for st in stages])
     log_bound = _log_norm_bound(bank)
     if log_bound > _MAX_LOG_NORM_BOUND:
         raise ArchiveError(
@@ -103,12 +107,12 @@ def safi_to_archive(model):
 
 
 def model_from_archive(archive):
-    """Rebuild an MmrModel or SafiModel; constraints are re-applied."""
+    """Rebuild an MmrModel or SafiModel, projecting the W, Wt and B kernels."""
     kind = archive.scalar("kind")
     lam = archive.scalar("lambda")
     if kind == _KIND_MMR:
-        W = _unpack_bank(archive, "W", constraint="zero-mean")
-        B = _unpack_bank(archive, "B", constraint="positive-normalized")
+        W = _unpack_bank(archive, "W", project_zero_mean)
+        B = _unpack_bank(archive, "B", project_positive_normalized)
         delta = archive.scalar("sigma.delta")
         d = archive.get("sigma.d")
         r = archive.get("sigma.r")
@@ -124,8 +128,8 @@ def model_from_archive(archive):
         ]
         return MmrModel(W=W, B=B, potentials=potentials, lam=lam)
     if kind == _KIND_SAFI:
-        W = _unpack_bank(archive, "W", constraint="zero-mean")
-        Wt = _unpack_bank(archive, "Wt", constraint="zero-mean")
+        W = _unpack_bank(archive, "W", project_zero_mean)
+        Wt = _unpack_bank(archive, "Wt", project_zero_mean)
         Bt = _unpack_bank(archive, "Bt")
         Bh = _unpack_bank(archive, "Bh")
         delta = archive.scalar("phi.delta")

@@ -31,8 +31,14 @@ class MmrModel:
     def __post_init__(self):
         if len(self.potentials) != self.W.out_channels:
             raise ValueError("one potential per analysis channel required")
-        if self.B.constraint != "positive-normalized":
-            raise ValueError("B must be positive-normalized")
+        for st in self.B.stages:
+            # project_positive_normalized leaves each sum within ks^2
+            # roundings of one.
+            k = st.kernels
+            off = np.abs(k.sum(axis=(2, 3)) - 1.0).max()
+            if k.min() < 0.0 or off > k[0, 0].size * np.finfo(float).eps:
+                raise ValueError("B's kernels must be nonnegative and each "
+                                 "sum to one")
         if not self.B.in_channels == self.B.out_channels == self.W.out_channels:
             raise ValueError(
                 f"B must map W's {self.W.out_channels} channels to as many; "

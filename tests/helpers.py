@@ -2,18 +2,18 @@
 
 import numpy as np
 
-from mmrsafi.linops import ConvStage, FilterBank
+from mmrsafi.linops import (ConvStage, FilterBank, project_positive_normalized,
+                            project_zero_mean)
 from mmrsafi.schemes import MmrModel, SafiModel
 from mmrsafi.splines import (ConcavePotential, HalfLineSpline, LinearSpline,
                              SigmoidSpline, project_nonincreasing)
 
 
 def random_mmr_model(rng, channels=2, ks=3, lam=0.1, m=8, delta=0.1):
-    W = FilterBank([ConvStage(rng.gaussian_array((channels, 1, ks, ks)), 1)],
-                   constraint="zero-mean")
-    B = FilterBank([ConvStage(rng.gaussian_array((channels, 1, ks, ks)) + 0.2,
-                              channels)],
-                   constraint="positive-normalized")
+    W = FilterBank([ConvStage(
+        project_zero_mean(rng.gaussian_array((channels, 1, ks, ks))), 1)])
+    B = FilterBank([ConvStage(project_positive_normalized(
+        rng.gaussian_array((channels, 1, ks, ks)) + 0.2), channels)])
     potentials = []
     for _ in range(channels):
         raw = np.concatenate(([1.0], 1.0 - 2.0 * rng.uniform_array(m)))
@@ -47,10 +47,10 @@ def random_safi_model(rng, channels=2, ks=3, lam=0.1, m=6, delta=0.2):
             k[c] -= k[c].mean()
         return _l1_normalized(k)
 
-    W = FilterBank([ConvStage(zero_mean_unit((channels, 1, ks, ks)), 1)],
-                   constraint="zero-mean")
-    Wt = FilterBank([ConvStage(zero_mean_unit((channels, 1, ks, ks)), 1)],
-                    constraint="zero-mean")
+    W = FilterBank([ConvStage(
+        project_zero_mean(zero_mean_unit((channels, 1, ks, ks))), 1)])
+    Wt = FilterBank([ConvStage(
+        project_zero_mean(zero_mean_unit((channels, 1, ks, ks))), 1)])
     Bt = FilterBank([ConvStage(
         _l1_normalized(rng.gaussian_array((channels, channels, ks, ks))), 1)])
     Bh = FilterBank([ConvStage(

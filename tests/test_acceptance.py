@@ -16,7 +16,7 @@ from mmrsafi.fbs import SolverConfig, momentum_next, tol_fbs, tol_prox
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
 from mmrsafi.linops import (ConvStage, FilterBank, box_bank, dense_matrix_of,
-                            difference_bank, operator_norm)
+                            difference_bank, operator_norm, project_zero_mean)
 from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
@@ -198,9 +198,9 @@ def _adjoint_dev(forward, adjoint, in_shape, out_shape, rng, trials=100):
 def test_criterion_07_adjoint_and_norm_suite():
     rng = Rng(108)
     devs = {}
-    zm = FilterBank([ConvStage(rng.gaussian_array((3, 1, 5, 5)), 1),
-                     ConvStage(rng.gaussian_array((3, 3, 3, 3)), 1)],
-                    constraint="zero-mean")
+    zm = FilterBank(
+        [ConvStage(project_zero_mean(rng.gaussian_array((3, 1, 5, 5))), 1),
+         ConvStage(project_zero_mean(rng.gaussian_array((3, 3, 3, 3))), 1)])
     devs["zero-mean bank"] = _adjoint_dev(zm.forward, zm.adjoint,
                                           (8, 8), (3, 8, 8), rng)
     pn = box_bank(3, size=5)
@@ -233,8 +233,8 @@ def test_criterion_08_schedule_and_momentum_exactness():
     eps = 1e-4
     checks = [
         abs(tol_fbs(5) - 1e-5),
-        abs(tol_prox(3, 50, eps) - eps / 3.0),
-        abs(tol_prox(3, 51, eps) - eps / 3.0),
+        abs(tol_prox(50, eps) - eps / 3.0),
+        abs(tol_prox(51, eps) - eps / 3.0),
         abs(momentum_next(4) - 3.0),
     ]
     report(8, f"schedules/momentum exact: max dev {max(checks):.1e}",

@@ -22,8 +22,9 @@ def phantom_pgm(tmp_path):
 def read_trace(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,e_k,f_k,psnr"
-    rows = [line.split(",") for line in lines[1:]]
-    return rows
+    # Every non-blank field is a number; blank ones read as None.
+    return [[float(v) if v else None for v in line.split(",")]
+            for line in lines[1:]]
 
 
 def test_make_phantom_matches_library(phantom_pgm):
@@ -45,7 +46,7 @@ def test_denoise_mmr_trace(tmp_path, phantom_pgm):
     # The default schedules solve inner problems to ~1e-5 successive change,
     # which bounds the attainable monotonicity of the trace; the strict
     # descent check (1e-8, tight solves) lives in the acceptance suite.
-    f_vals = [float(r[2]) for r in rows]
+    f_vals = [r[2] for r in rows]
     assert all(b <= a + 1e-3 * abs(a) for a, b in zip(f_vals, f_vals[1:]))
     recon = pgm_read(out)
     clean = pgm_read(phantom_pgm)

@@ -38,12 +38,12 @@ def test_tol_fbs_schedule():
 
 def test_tol_prox_schedule():
     eps = 1e-4
-    assert tol_prox(1, 50, eps) == pytest.approx(eps / 3.0, abs=1e-15)
-    assert tol_prox(1, 51, eps) == pytest.approx(eps / 3.0, abs=1e-15)
-    assert tol_prox(1, 1, eps) == pytest.approx(
+    assert tol_prox(50, eps) == pytest.approx(eps / 3.0, abs=1e-15)
+    assert tol_prox(51, eps) == pytest.approx(eps / 3.0, abs=1e-15)
+    assert tol_prox(1, eps) == pytest.approx(
         3e-4 * (1.0 / 9.0) ** 0.02, abs=1e-15)
-    assert tol_prox(1, 1, eps) == pytest.approx(2.8710212339441607e-4,
-                                                abs=1e-15)
+    assert tol_prox(1, eps) == pytest.approx(2.8710212339441607e-4,
+                                             abs=1e-15)
 
 
 def test_identity_no_regularization_returns_y():

@@ -97,22 +97,39 @@ def test_stencil_matches_per_tap_sum(shape):
 
 
 def test_project_zero_mean():
-    assert np.allclose(project_zero_mean([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
-    taps = Rng(1).gaussian_array(49)
+    assert np.allclose(project_zero_mean([[1.0, 2.0, 3.0]]),
+                       [[-1.0, 0.0, 1.0]])
+    taps = Rng(1).gaussian_array((7, 7))
     out = project_zero_mean(taps)
     assert abs(out.sum()) < 1e-12
     assert np.allclose(project_zero_mean(out), out)
+    # A stack is projected kernel by kernel, over its last two axes.
+    stack = Rng(3).gaussian_array((3, 2, 5, 5))
+    out = project_zero_mean(stack)
+    for o in range(3):
+        for i in range(2):
+            assert np.array_equal(out[o, i], project_zero_mean(stack[o, i]))
 
 
 def test_project_positive_normalized():
-    assert np.allclose(project_positive_normalized([-1.0, 1.0, 2.0]),
-                       [0.25, 0.25, 0.5])
-    assert np.allclose(project_positive_normalized([5.0]), [1.0])
-    out = project_positive_normalized(Rng(2).gaussian_array(9))
+    assert np.allclose(project_positive_normalized([[-1.0, 1.0, 2.0]]),
+                       [[0.25, 0.25, 0.5]])
+    assert np.allclose(project_positive_normalized([[5.0]]), [[1.0]])
+    out = project_positive_normalized(Rng(2).gaussian_array((3, 3)))
     assert np.all(out >= 0) and abs(out.sum() - 1.0) < 1e-12
     assert np.allclose(project_positive_normalized(out), out)
     with pytest.raises(ValueError):
-        project_positive_normalized(np.zeros(9))
+        project_positive_normalized(np.zeros((3, 3)))
+    # A stack is projected kernel by kernel; one all-zero kernel is refused.
+    stack = Rng(4).gaussian_array((3, 2, 5, 5))
+    out = project_positive_normalized(stack)
+    for o in range(3):
+        for i in range(2):
+            assert np.array_equal(out[o, i],
+                                  project_positive_normalized(stack[o, i]))
+    stack[2, 1] = 0.0
+    with pytest.raises(ValueError, match="degenerate kernel"):
+        project_positive_normalized(stack)
 
 
 def test_bank_needs_a_stage():
@@ -204,11 +221,13 @@ def test_kernels_wider_than_image(sparse, applier, shape):
             assert_stencil_matches_per_tap_sum(bank, shape, rng)
 
 
-@pytest.mark.parametrize("constraint", [None, "zero-mean", "positive-normalized"])
-def test_adjoint_identity_sweep(constraint):
+@pytest.mark.parametrize(
+    "project", [np.asarray, project_zero_mean, project_positive_normalized],
+    ids=["None", "zero-mean", "positive-normalized"])
+def test_adjoint_identity_sweep(project):
     rng = Rng(11)
-    kernels = rng.gaussian_array((3, 1, 5, 5)) + 0.1
-    bank = FilterBank([ConvStage(kernels, 1)], constraint=constraint)
+    kernels = project(rng.gaussian_array((3, 1, 5, 5)) + 0.1)
+    bank = FilterBank([ConvStage(kernels, 1)])
     for _ in range(100):
         x = rng.gaussian_array((8, 8))
         s = rng.gaussian_array((3, 8, 8))
@@ -226,9 +245,9 @@ def test_adjoint_of_identity_bank_sums_channels():
 
 def test_zero_mean_annihilates_constants():
     rng = Rng(13)
-    bank = FilterBank([ConvStage(rng.gaussian_array((2, 1, 3, 3)), 1),
-                       ConvStage(rng.gaussian_array((2, 2, 3, 3)), 1)],
-                      constraint="zero-mean")
+    bank = FilterBank(
+        [ConvStage(project_zero_mean(rng.gaussian_array((2, 1, 3, 3))), 1),
+         ConvStage(project_zero_mean(rng.gaussian_array((2, 2, 3, 3))), 1)])
     out = bank.forward(np.full((8, 8), 3.7))
     assert np.max(np.abs(out)) < 1e-12
 
@@ -285,6 +304,27 @@ def test_bank_linearity():
     lhs = bank.forward(2.0 * x1 - 3.0 * x2)
     rhs = 2.0 * bank.forward(x1) - 3.0 * bank.forward(x2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_bank_owns_its_kernels():
+    # Spectral stages build their multipliers per shape on first use, so a
+    # bank that aliased the caller's array would change with it silently.
+    rng = Rng(31)
+    sparse = np.zeros((2, 1, 3, 3))
+    sparse[:, 0, 1, 1] = -1.0
+    sparse[0, 0, 1, 2] = sparse[1, 0, 2, 1] = 1.0
+    dense = rng.gaussian_array((3, 1, 7, 7))
+    x = rng.gaussian_array((9, 10))
+    for kernels, applier in ((sparse, _StencilStage), (dense, _SpectralStage)):
+        bank = FilterBank([ConvStage(kernels, 1)])
+        assert type(bank._appliers[0]) is applier
+        expected = FilterBank([ConvStage(kernels.copy(), 1)])
+        kernels[...] = rng.gaussian_array(kernels.shape)
+        assert np.array_equal(bank.stages[0].kernels,
+                              expected.stages[0].kernels)
+        y = expected.forward(x)
+        assert np.array_equal(bank.forward(x), y)
+        assert np.array_equal(bank.adjoint(y), expected.adjoint(y))
 
 
 def norm_test_banks():

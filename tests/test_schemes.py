@@ -10,7 +10,8 @@ from mmrsafi.fbs import SolverConfig, fbs_solve, tol_fbs
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, box_bank,
-                             dense_matrix_of)
+                             dense_matrix_of, project_positive_normalized,
+                             project_zero_mean)
 from mmrsafi.oracle import finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import ConstraintSet, WeightedAnalysisOperator
@@ -281,12 +282,25 @@ def test_default_tv_model_structure():
         assert pot.derivative(0.0) == 1.0
 
 
-def test_mmr_model_rejects_a_b_that_changes_channel_count():
-    widen = FilterBank([ConvStage(np.ones((3, 2, 3, 3)), 1)],
-                       constraint="positive-normalized")
-    with pytest.raises(ValueError, match="B must map W's 2 channels to as "
-                                         "many; it maps 2 to 3"):
-        replace(default_tv_model(), B=widen)
+def test_mmr_model_rejects_bad_b_or_potentials():
+    model = default_tv_model()
+    box = model.B.stages[0].kernels
+    negative = box.copy()           # one negative tap, sums still one
+    negative[1, 0, 0, 0] -= 0.5
+    negative[1, 0, 2, 2] += 0.5
+    bad = [
+        ("B", FilterBank([ConvStage(
+            project_positive_normalized(np.ones((3, 2, 3, 3))), 1)]),
+         "B must map W's 2 channels to as many; it maps 2 to 3"),
+        ("B", FilterBank([ConvStage(negative, 2)]),
+         "B's kernels must be nonnegative"),
+        ("B", FilterBank([ConvStage(2.0 * box, 2)]), "each sum to one"),
+        ("potentials", model.potentials[:1],
+         "one potential per analysis channel"),
+    ]
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=message):
+            replace(model, **{name: value})
 
 
 def test_safi_model_rejects_channel_counts_that_do_not_chain():
@@ -297,8 +311,8 @@ def test_safi_model_rejects_channel_counts_that_do_not_chain():
         "Bt": (box_bank(3), "Wt -> phi1 -> Bt: 2, 2, 3"),
         "Bh": (FilterBank([ConvStage(np.ones((3, 2, 1, 1)), 1)]),
                "Bh -> phi3 -> W: 3, 2, 2"),
-        "Wt": (FilterBank([ConvStage(np.ones((2, 2, 3, 3)), 1)],
-                          constraint="zero-mean"), "Wt takes 2 input"),
+        "Wt": (FilterBank([ConvStage(
+            project_zero_mean(np.ones((2, 2, 3, 3))), 1)]), "Wt takes 2 input"),
     }
     for name, (value, message) in bad.items():
         with pytest.raises(ValueError, match=message):
