@@ -48,7 +48,7 @@ class MaskedDftOp:
             raise ValueError("column mask length must equal image width")
         if not column_mask.any():
             raise ValueError("mask keeps no columns")
-        if height & (height - 1) or width & (width - 1):
+        if height < 1 or height & (height - 1) or width & (width - 1):
             raise ValueError("image dimensions must be powers of two")
         self.normal_is_identity = bool(column_mask.all())
         self.height = height

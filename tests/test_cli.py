@@ -133,7 +133,7 @@ def test_objective_trace_uses_the_lambda_override(capsys, phantom_pgm):
 
 @pytest.mark.parametrize("flag, value, expected", [
     ("--lambda", "-1", 1), ("--lambda", "nan", 1), ("--lambda", "1/0", 2),
-    ("--sigma", "1/0", 1)])
+    ("--sigma", "1/0", 1), ("--sigma", "1e160", 1)])
 def test_bad_real_input_rejected(capsys, tmp_path, phantom_pgm, flag, value,
                                  expected):
     out = tmp_path / "recon.pgm"

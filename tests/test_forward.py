@@ -107,6 +107,8 @@ def test_operator_norm_is_one():
 def test_power_of_two_required():
     with pytest.raises(ValueError):
         MaskedDftOp(np.ones(12, dtype=bool), 12, 12)
+    with pytest.raises(ValueError):
+        MaskedDftOp(np.ones(8, dtype=bool), 0, 8)
 
 
 def test_mask_counts():
