@@ -8,7 +8,7 @@ from .linops import (ConvStage, FilterBank, box_bank, dense_matrix_of,
                      project_zero_mean)
 from .phantom import make_phantom
 from .prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                   dual_gradient, momentum_next, prox_weighted_l1)
+                   momentum_next, prox_weighted_l1)
 from .schemes import (MmrModel, SafiModel, SchemeTrace, default_safi_model,
                       default_tv_model, eval_majorization, eval_objective,
                       mask_mmr, mask_safi, run_cvx, run_mmr, run_safi)

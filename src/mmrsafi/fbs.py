@@ -80,6 +80,15 @@ def _step_size(H):
     return 1.0 / H.norm ** 2
 
 
+def _prox_objective(L, gamma, z, x):
+    """P(x) = 0.5*||x - z||^2 + gamma*||L x||_1, formed in L.workspace with
+    one L.forward: |L x| there, then x - z in its first x.size entries."""
+    lx = L.forward(x, out=L.workspace)
+    penalty = gamma * float(np.sum(np.abs(lx, out=lx)))
+    diff = np.subtract(x, z, out=lx.reshape(-1)[:x.size].reshape(x.shape))
+    return 0.5 * float(np.vdot(diff, diff)) + penalty
+
+
 def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     """Accelerated proximal gradient for one reweighted convex problem.
 
@@ -94,7 +103,10 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     G <= eps_prox * P, within k_prox dual iterations per FBS step.  A fixed
     cfg.eps_prox sets eps_prox; otherwise the multi-step path follows
     tol_prox, and the one-step identity path, where no error accumulates,
-    takes _IDENTITY_GAP_FACTOR * eps_fbs.
+    takes _IDENTITY_GAP_FACTOR * eps_fbs.  On the identity path the prox
+    objective P is the objective of this problem up to a constant, so when
+    x_init lies in X the prox also must not end above P(x_init): the
+    returned x is no worse than the point the solve started from.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
@@ -126,10 +138,13 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
                 eps_prox = _IDENTITY_GAP_FACTOR * eps_fbs
             else:
                 eps_prox = tol_prox(k, eps_fbs)
+            gamma = alpha * lam
+            ceiling = (_prox_objective(L, gamma, z, x)
+                       if identity and X.contains(x) else np.inf)
             pres = prox_weighted_l1(
-                z, L, alpha * lam, X,
+                z, L, gamma, X,
                 ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
-                warm_u=dual)
+                warm_u=dual, ceiling=ceiling)
             x_next, dual = pres.x, pres.dual
             prox_iters += pres.iterations
             prox_unconverged += not pres.converged

@@ -7,12 +7,13 @@ kernels exact row and column sums of one; project_zero_mean and
 project_positive_normalized put a stack of kernels in those forms.
 Stages with few nonzero taps per channel are applied directly as periodic
 stencils, each tap reading the one to four blocks of its wrapped shift
-straight from the input; dense multi-channel stages go through FFT
-multipliers cached per image shape.  A bank's forward and adjoint write
-into a caller's out array when given one, which may share memory with the
-input.  Periodic banks are block-circulant, so their spectral norm
-is exact from one impulse response per input channel.  A direct dense
-materialization is available for oracle-scale checks.
+straight from the input; a channel whose first two taps are +-1, and not
+both -1, opens with their signed sum in one pass.  Dense multi-channel
+stages go through FFT multipliers cached per image shape.  A bank's
+forward and adjoint write into a caller's out array when given one, which
+may share memory with the input.  Periodic banks are block-circulant, so
+their spectral norm is exact from one impulse response per input channel.
+A direct dense materialization is available for oracle-scale checks.
 """
 
 from dataclasses import dataclass
@@ -160,11 +161,17 @@ def _check_out(out, shape):
                          f"got {out.dtype} {out.shape}")
 
 
-# Direct stencils cost one to four block operations per nonzero tap; FFT
-# multipliers cost a few transforms per channel.  Measured break-even, when
-# each tap was one operation on a wrap-padded copy: about 4.5 taps per input
-# and output channel at 8x8 and 64x64, about 12 at 256x256.  Stages with
-# more nonzero taps than this per channel run through FFTs.
+# Direct stencils cost one to four block operations per nonzero tap, two
+# per block for a tap that is not +-1; FFT multipliers cost a few
+# transforms per channel.  Measured break-even (forward plus adjoint of one
+# stage with Gaussian taps in a 5x5 kernel, one thread of a 2-core Xeon,
+# numpy 2.4): about 1.5 taps per input and output channel at 8x8, 2 at
+# 64x64 and 6 to 8 at 256x256.  The difference bank (1.3 taps per channel,
+# all +-1) runs 5.5x, 6.4x and 16x faster as a stencil at those sizes; the
+# 3x3 box bank (4.5) 3.1x and 1.8x slower at 8x8 and 64x64, and 1.7x faster
+# at 256x256.  The limit does not depend on the image, and it keeps every
+# shipped bank on stencils: stages with more nonzero taps than this per
+# channel run through FFTs.
 _STENCIL_MAX_TAPS_PER_CHANNEL = 8
 
 
@@ -176,35 +183,48 @@ def _applier(stage):
 
 
 @lru_cache(maxsize=256)
-def _wrapped_blocks(n, d):
-    """The one or two (target, source) slice pairs that tile t[i] = s[(i + d)
-    % n] over i < n; any integer shift d, so taps may wrap more than once."""
-    d %= n
-    if d == 0:
-        return ((slice(None), slice(None)),)
-    return ((slice(0, n - d), slice(d, n)), (slice(n - d, n), slice(0, d)))
+def _wrapped_blocks(n, *shifts):
+    """Slice tuples (target, source_1, ..., source_m) that tile
+    t[i] = s_j[(i + d_j) % n] over i < n for each shift d_j at once: the
+    blocks break wherever any source wraps, so each block reads every
+    source as one contiguous slice.  Any integer shifts, so taps may wrap
+    more than once."""
+    cuts = sorted({0, n} | {-d % n for d in shifts})
+    return tuple(
+        (slice(p, q),) + tuple(slice((p + d) % n, (p + d) % n + q - p)
+                               for d in shifts)
+        for p, q in zip(cuts, cuts[1:]))
 
 
-def _apply_taps(taps, x, out):
-    """out[c] = sum over taps[c] of weight * x[source] shifted periodically,
-    so that element (i, j) reads x[source, (i + dr) % h, (j + dc) % w];
-    into a new array unless out is given.
+def _apply_taps(plan, x, out):
+    """out[c] = sum over channel c's taps of weight * x[source] shifted
+    periodically, so that element (i, j) reads x[source, (i + dr) % h,
+    (j + dc) % w]; into a new array unless out is given.
 
-    Each tap reads its wrapped blocks straight from x.  The sum starts from
-    the first tap and runs in tap order, and +-1 taps are added or
-    subtracted without a product, so it equals the sum started from 0 up to
-    the sign of zero.
+    plan holds one (pair, taps) per channel, from _plan.  Each tap reads
+    its wrapped blocks straight from x.  A pair opens the channel as
+    op(first, second) in one pass over the joint blocks of its two taps;
+    otherwise the first tap opens it.  The remaining taps follow in tap
+    order, and +-1 taps are added or subtracted without a product.  Either
+    way the sum equals the tap-by-tap sum opened by the first tap, sign of
+    zero included.
     """
     h, w = x.shape[1:]
     if out is None:
-        out = np.empty((len(taps), h, w))
+        out = np.empty((len(plan), h, w))
     elif np.may_share_memory(x, out):
         x = x.copy()            # taps read x while out is written
     tmp = None
-    for acc, ops in zip(out, taps):
-        if not ops:
+    for acc, (pair, ops) in zip(out, plan):
+        if pair is not None:
+            op, (i, dr, dc), (j, er, ec) = pair
+            for tr, sr, qr in _wrapped_blocks(h, dr, er):
+                for tc, sc, qc in _wrapped_blocks(w, dc, ec):
+                    op(x[i, sr, sc], x[j, qr, qc], out=acc[tr, tc])
+        elif not ops:
             acc.fill(0.0)
-        for n, (src, dr, dc, v) in enumerate(ops):
+        opened = int(pair is not None)
+        for n, (src, dr, dc, v) in enumerate(ops, start=opened):
             for tr, sr in _wrapped_blocks(h, dr):
                 for tc, sc in _wrapped_blocks(w, dc):
                     t, s = acc[tr, tc], x[src, sr, sc]
@@ -229,6 +249,24 @@ def _apply_taps(taps, x, out):
     return out
 
 
+def _plan(taps):
+    """(pair, rest) for one channel's taps (source, row shift, col shift,
+    weight).  When the first two weights are +-1 and not both -1, pair is
+    (op, p, q) with op(p, q) their signed sum exactly, sign of zero
+    included: first + second, first - second, or second - first; rest
+    holds the other taps.  -first - second is not paired: a negation then
+    a subtraction gives a zero sign no single op gives.  Otherwise pair is
+    None and rest holds every tap."""
+    if len(taps) > 1:
+        (*first, v), (*second, w) = taps[:2]
+        pair = {(1.0, 1.0): (np.add, first, second),
+                (1.0, -1.0): (np.subtract, first, second),
+                (-1.0, 1.0): (np.subtract, second, first)}.get((v, w))
+        if pair is not None:
+            return pair, tuple(taps[2:])
+    return None, tuple(taps)
+
+
 class _StencilStage:
     """A stage applied as a sum over its nonzero taps, each read as periodic
     blocks of the input with no padded copy."""
@@ -241,19 +279,21 @@ class _StencilStage:
         # kernel order: the forward correlates, shifting by the tap's offset
         # from the kernel centre; the adjoint shifts the other way, with
         # the channels transposed.
-        self._forward_taps = [[] for _ in range(c_out)]
-        self._adjoint_taps = [[] for _ in range(stage.c_in)]
+        forward_taps = [[] for _ in range(c_out)]
+        adjoint_taps = [[] for _ in range(stage.c_in)]
         for o, i, a, b in np.argwhere(stage.kernels).tolist():
             v = float(stage.kernels[o, i, a, b])
             i += (o // per_group) * c_in_pg
-            self._forward_taps[o].append((i, a - r, b - r, v))
-            self._adjoint_taps[i].append((o, r - a, r - b, v))
+            forward_taps[o].append((i, a - r, b - r, v))
+            adjoint_taps[i].append((o, r - a, r - b, v))
+        self._forward_plan = [_plan(taps) for taps in forward_taps]
+        self._adjoint_plan = [_plan(taps) for taps in adjoint_taps]
 
     def forward(self, x, out=None):
-        return _apply_taps(self._forward_taps, x, out)
+        return _apply_taps(self._forward_plan, x, out)
 
     def adjoint(self, y, out=None):
-        return _apply_taps(self._adjoint_taps, y, out)
+        return _apply_taps(self._adjoint_plan, y, out)
 
 
 class _SpectralStage:

@@ -1,19 +1,23 @@
 """Proximal operator of gamma*||L.||_1 over a constraint set, via the dual.
 
 The dual problem is solved with accelerated projected gradient ascent; the
-primal is recovered as Proj_X{z - L^T u}.  Each dual iteration applies L
-once and L^T once: by linearity, the adjoint of the momentum point is the
-same combination of the adjoints of the last two iterates.  The momentum is
-restarted whenever it carries the iterate against the ascent step, the
-gradient test of O'Donoghue & Candes, "Adaptive restart for accelerated
-gradient schemes" (Found. Comput. Math., 2015); on tight solves this stops
-the oscillation that momentum alone sets off.  Every solve is
-certified: every _GAP_CHECK_INTERVAL iterations it forms its primal point
-and stops once the duality gap there is small relative to the primal value;
-a solve that never gets there ends unconverged at its budget.  The dual
-iterate is returned so that consecutive solves can be warm-started; a warm
-start passes only the dual, and the solve opens with one L^T of it, as a
-cold start does.
+primal is recovered as Proj_X{z - L^T v} at a dual point v.  Each dual
+iteration applies L once and L^T once: by linearity, the adjoint of the
+momentum point is the same combination of the adjoints of the last two
+iterates.  The momentum is restarted whenever it carries the iterate
+against the ascent step, the gradient test of O'Donoghue & Candes,
+"Adaptive restart for accelerated gradient schemes" (Found. Comput.
+Math., 2015); on tight solves this stops the oscillation that momentum
+alone sets off.  Every solve is certified: every _GAP_CHECK_INTERVAL
+iterations it pairs the dual value at its iterate u_k with the primal value
+at the point the next ascent step already maps through L (Beck & Teboulle,
+"A fast dual proximal gradient algorithm for convex minimization and
+applications", Oper. Res. Lett. 2014), so a check calls no bank; the
+solve stops, returning that primal point, once the duality gap of the pair
+is small relative to the primal value.  A solve that never gets there ends
+unconverged at its budget.  The dual iterate is returned so that
+consecutive solves can be warm-started; a warm start passes only the dual,
+and the solve opens with one L^T of it, as a cold start does.
 
 The dual step is 1/B^2 for a certified upper bound B >= ||L||_2, which is
 what the accelerated projected gradient method needs to converge.  It
@@ -28,8 +32,8 @@ import numpy as np
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .linops import operator_norm  # noqa: F401
 
-# A solve checks its duality gap (one L.forward) every this many iterations;
-# checking every iteration took as many iterations and more time.
+# A solve checks its duality gap every this many iterations.  A check calls
+# no bank, but makes about as many elementwise passes as an iteration.
 _GAP_CHECK_INTERVAL = 5
 
 
@@ -56,6 +60,11 @@ class ConstraintSet:
     @property
     def is_all_space(self):
         return self.lower is None
+
+    def contains(self, x):
+        """True when every component of x lies in the set."""
+        return self.is_all_space or (
+            self.lower <= np.min(x) and np.max(x) <= self.upper)
 
     def project(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -135,83 +144,69 @@ class ProxResult:
     restarts: int       # iterations whose momentum was restarted
 
 
-def dual_gradient(L, X, z, u):
-    """Ascent direction of the dual function: L Proj_X{z - L^T u}."""
-    return L.forward(X.project(z - L.adjoint(u)))
-
-
-def duality_gap(L, gamma, z, x, u, work=None):
-    """Duality gap G and primal value P of the prox at the pair (x, u).
-
-    G = gamma*||L x||_1 - <u, L x> and P = 0.5*||x - z||^2 + gamma*||L x||_1,
-    for one L.forward.  When x = Proj_X(z - L^T u) and |u| <= gamma, as for
-    a ProxResult's x and dual, the dual value at u is P - G, so G >= 0 is
-    the exact gap, both on all of R^N and on a box.
-
-    L x is formed in L.workspace, and x - z in work when one is given (an
-    array shaped like x that is overwritten); nothing else is written.
-    """
-    lx = L.forward(x, out=L.workspace)
-    inner = float(np.vdot(u, lx))
-    penalty = gamma * float(np.sum(np.abs(lx, out=lx)))
-    diff = np.subtract(x, z, out=work)
-    distance = float(np.sum(np.square(diff, out=diff)))
-    return penalty - inner, 0.5 * distance + penalty
-
-
 def _project_into(X, r):
     """r <- Proj_X(r), in place."""
     if not X.is_all_space:
         np.clip(r, X.lower, X.upper, out=r)
 
 
-def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
+def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
     [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The ascent
-    step is s_k = L(alpha * Proj_X(z - L^T v_k)) with alpha = 1/B^2: the
-    step size multiplies the image before L.forward, not the dual-sized
-    result after it.  The momentum restarts adaptively (O'Donoghue & Candes
-    2015): when s_k and the move u_{k+1} - u_k have <s_k, u_{k+1} - u_k> < 0,
-    the momentum point is v_{k+1} = u_{k+1}, and the schedule starts again
-    from t = 1 and index 1.  A plain projected step from a point with
-    |u| <= gamma never fails this test, so no two restarts come back to
-    back.  The result counts the restarts.
+    step from v_k is s = L(alpha * x^) for x^ = Proj_X(z - L^T v_k) and
+    alpha = 1/B^2: the step size multiplies the image before L.forward,
+    not the dual-sized result after it.  The momentum restarts adaptively
+    (O'Donoghue & Candes 2015): when s and the move u_{k+1} - u_k have
+    <s, u_{k+1} - u_k> < 0, the momentum point is v_{k+1} = u_{k+1}, and
+    the schedule starts again from t = 1 and index 1.  A plain projected
+    step from a point with |u| <= gamma never fails this test, so no two
+    restarts come back to back.  The result counts the restarts.
 
-    Every _GAP_CHECK_INTERVAL iterations the solve forms its primal point
-    x_{k+1} = Proj_X(z - a_{k+1}) and checks it: it has converged once the
-    duality gap at (x_{k+1}, u_{k+1}) is G <= eps * P (duality_gap, one
-    L.forward), and on no other condition: an eps below roundoff certifies
-    only where G rounds to <= 0.  The solve stops unconverged after
-    cfg.max_iters iterations, forming x there too; on no other iteration is
-    x formed.  The result's gap is G/P at the last check, nan when the
-    budget ends before the first.
+    Every _GAP_CHECK_INTERVAL iterations k the solve checks u_k against
+    the primal point x^ of the next ascent step, whose L x^ = s / alpha
+    that step forms anyway (Beck & Teboulle, Oper. Res. Lett. 2014, take
+    the primal from the dual method's momentum point).  The dual value is
+    D(u_k) = 0.5*||x_k - z||^2 + <a_k, x_k> at x_k = Proj_X(z - a_k), and
+    the primal value P(x^) = 0.5*||x^ - z||^2 + gamma*||s||_1 / alpha.  As
+    x^ is in X and |u_k| <= gamma, G = P(x^) - D(u_k) >= 0 is a duality
+    gap.  The solve has converged once G <= eps * P(x^) and
+    P(x^) <= ceiling, and on no other condition: an eps below roundoff
+    certifies only where G rounds to <= 0.  It then returns x^, u_k and k
+    iterations, and the ascent step it took is not completed.  Otherwise
+    it stops unconverged after cfg.max_iters iterations and returns
+    Proj_X(z - L^T u); a check on the last of them still takes its ascent
+    step, for that step's L.forward.  The result's gap is G/P at the last
+    check, nan when the budget ends before the first.
 
     a_k = L^T u_k is carried across iterations, and the momentum point
     v_{k+1} = u_{k+1} + beta_k (u_{k+1} - u_k) gets its adjoint by
     linearity, a_{k+1} + beta_k (a_{k+1} - a_k).  One L and one L^T call
-    per iteration and one L per gap check, plus one to open with a = L^T u,
-    where u is L z on a cold start and a copy of warm_u on a warm one;
-    a_{k+1} is computed fresh from u_{k+1}, so no error builds up.  The
-    restart test costs one vdot.
+    per iteration, and one L^T to open with a = L^T u, where u is L z on a
+    cold start (one more L) and a copy of warm_u on a warm one; the checks
+    call neither.  A certified stop after k iterations has made k + 1
+    L.forward calls on a warm start and k + 2 on a cold one.  a_{k+1} is
+    computed fresh from u_{k+1}, so no error builds up.  The restart test
+    costs one vdot.
 
     Each solve owns six arrays, made when it starts: on the dual side u and
     v, with the ascent step's L applied into L.workspace; on the primal
-    side a = L^T u, a_v = L^T v, x and the gap check's work.  The iteration
+    side a = L^T u, a_v = L^T v, x and the checks' work.  The iteration
     makes no other array, and the bank's stencil stages read their input in
     place; only numpy's iteration buffers for strided reads come and go per
     call.  u_{k+1} is formed in v's buffer and v_{k+1} in u's, which first
     holds u_{k+1} - u_k for the restart test; likewise a_{k+1} in a_v's and
     a_{v,k+1} in a's, which first holds a_{k+1} - a_k for the momentum.
-    a_v's buffer first holds alpha * Proj_X(z - a_v), the point L.forward
-    reads; work holds the gap check's x - z.  z and warm_u are only read,
-    and the result's arrays are buffers of this solve alone.
+    a_v's buffer first holds alpha * x^, the point L.forward reads.  At a
+    check, x holds x_k and then a copy of x^ taken before alpha scales it;
+    work holds x - z, and |s| one channel at a time.  z and warm_u are only
+    read, and the result's arrays are buffers of this solve alone.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     z = np.asarray(z, dtype=np.float64)
-    # The gap check squares ||x - z||, so ||z||^2 must be a float.
+    # The checks square ||x - z||, so ||z||^2 must be a float.
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(np.vdot(z, z)):
             raise ValueError("prox input is non-finite or its squared norm "
@@ -228,16 +223,36 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
     u = L.forward(z) if warm_u is None else np.array(warm_u, dtype=np.float64)
     a = L.adjoint(u)
     v, a_v = u.copy(), a.copy()
-    x, work = np.empty_like(z), np.empty_like(z)
+    x, work = np.empty(z.shape), np.empty(z.shape)
+    channel = work.reshape(-1)[:u[0].size].reshape(u.shape[1:])
     step = L.workspace
     t, j, restarts, ratio = 1.0, 1, 0, np.nan
-    for k in range(1, cfg.max_iters + 1):
-        # u_{k+1} = clip(v + s) for the step s = L(alpha * Proj_X(z - L^T v)),
-        # in v's buffer; alpha * Proj_X(z - L^T v) is formed in a_v's, which
-        # a_{k+1} takes next.
+    # Pass k takes the ascent step of iteration k + 1 from v_k, which a
+    # check pairs with u_k, and completes the iteration unless it stops.
+    for k in range(cfg.max_iters + 1):
+        check = k > 0 and k % _GAP_CHECK_INTERVAL == 0
+        if check:
+            dual_value = _dual_value(X, z, a, x, work)
+        elif k == cfg.max_iters:
+            break
+        # u_{k+1} = clip(v + s) for the step s = L(alpha * x^), in v's
+        # buffer; alpha * x^ is formed in a_v's, which a_{k+1} takes next.
         np.subtract(z, a_v, out=a_v)
         _project_into(X, a_v)
+        if check:
+            np.copyto(x, a_v)
         L.forward(np.multiply(a_v, alpha, out=a_v), out=step)
+        if check:
+            penalty = sum(float(np.sum(np.abs(s, out=channel)))
+                          for s in step)
+            primal = (0.5 * _squared_distance(x, z, work)
+                      + gamma * penalty / alpha)
+            gap = primal - dual_value
+            ratio = gap / primal if primal > 0.0 else 0.0
+            if gap <= cfg.epsilon * primal and primal <= ceiling:
+                return ProxResult(x, u, k, True, ratio, restarts)
+            if k == cfg.max_iters:
+                break
         np.add(v, step, out=v)
         u_next = np.clip(v, -gamma, gamma, out=v)
         # u_{k+1} - u_k in u's buffer, read against s before L^T overwrites
@@ -260,13 +275,20 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None):
         np.multiply(a, beta, out=a)
         np.add(a_next, a, out=a)
         u, v, a, a_v = u_next, u, a_next, a
-        check = k % _GAP_CHECK_INTERVAL == 0
-        if check or k == cfg.max_iters:
-            np.subtract(z, a, out=x)
-            _project_into(X, x)
-            if check:
-                gap, primal = duality_gap(L, gamma, z, x, u, work)
-                ratio = gap / primal if primal > 0.0 else 0.0
-            done = check and gap <= cfg.epsilon * primal
-            if done or k == cfg.max_iters:
-                return ProxResult(x, u, k, done, ratio, restarts)
+    np.subtract(z, a, out=x)
+    _project_into(X, x)
+    return ProxResult(x, u, cfg.max_iters, False, ratio, restarts)
+
+
+def _squared_distance(x, z, work):
+    """||x - z||^2, with x - z formed in work."""
+    diff = np.subtract(x, z, out=work)
+    return float(np.vdot(diff, diff))
+
+
+def _dual_value(X, z, a, x, work):
+    """D(u) = min_{w in X} 0.5*||w - z||^2 + <u, L w> for a = L^T u, taken
+    at its minimizer w = Proj_X(z - a), which is formed in x."""
+    np.subtract(z, a, out=x)
+    _project_into(X, x)
+    return 0.5 * _squared_distance(x, z, work) + float(np.vdot(a, x))

@@ -2,11 +2,14 @@
 
 Two mask families drive the reweighted l1-analysis solves.  The
 majorization-minimization masks come from concave-potential derivatives,
-Lambda_c(x) = B_c^T psi'_c(B_c |W_c x|), and yield provable monotone descent
-of an explicit objective.  The solution-adaptive masks come from a small
-convolutional generator with sigmoid output, Lambda~_c(x) =
-phi3_c(Bh_c phi2(Bt phi1(Wt x))), and the reconstruction is a fixed point of
-the induced update operator.
+Lambda_c(x) = B_c^T psi'_c(B_c |W_c x|): each step's convex problem
+majorizes an explicit objective and equals it at the step's start.  With
+H^T H = I the step's prox may not end above that start, so the objective
+does not rise beyond roundoff; the multi-step FBS path, whose inexact
+solves carry momentum, gives no such guarantee.  The solution-adaptive
+masks come from a small convolutional generator with sigmoid output,
+Lambda~_c(x) = phi3_c(Bh_c phi2(Bt phi1(Wt x))), and the reconstruction is
+a fixed point of the induced update operator.
 """
 
 from dataclasses import dataclass, field, replace

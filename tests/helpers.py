@@ -1,4 +1,5 @@
-"""Shared constructors for randomized models used across the test suite."""
+"""Shared constructors for randomized models, and closed forms of the dual
+prox, used across the test suite."""
 
 import numpy as np
 
@@ -7,6 +8,24 @@ from mmrsafi.linops import (ConvStage, FilterBank, project_positive_normalized,
 from mmrsafi.schemes import MmrModel, SafiModel
 from mmrsafi.splines import (ConcavePotential, HalfLineSpline, LinearSpline,
                              SigmoidSpline, project_nonincreasing)
+
+
+def dual_gradient(L, X, z, u):
+    """Ascent direction of the prox's dual function: L Proj_X{z - L^T u}."""
+    return L.forward(X.project(z - L.adjoint(u)))
+
+
+def duality_gap(L, gamma, z, x, u):
+    """Duality gap G and primal value P of the prox at the pair (x, u).
+
+    G = gamma*||L x||_1 - <u, L x> and P = 0.5*||x - z||^2 + gamma*||L x||_1.
+    When x = Proj_X(z - L^T u) and |u| <= gamma, the dual value at u is
+    P - G, so G >= 0 is the exact gap, both on all of R^N and on a box.
+    """
+    lx = L.forward(x)
+    penalty = gamma * float(np.sum(np.abs(lx)))
+    return (penalty - float(np.vdot(u, lx)),
+            0.5 * float(np.sum((x - z) ** 2)) + penalty)
 
 
 def random_mmr_model(rng, channels=2, ks=3, lam=0.1, m=8, delta=0.1):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import random_mmr_model, random_safi_model
+from helpers import dual_gradient, random_mmr_model, random_safi_model
 from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import SolverConfig, momentum_next, tol_fbs, tol_prox
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
@@ -20,7 +20,7 @@ from mmrsafi.linops import (ConvStage, FilterBank, box_bank, dense_matrix_of,
 from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                          dual_gradient, prox_weighted_l1)
+                          prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model,
                              eval_majorization, eval_objective, mask_mmr,
                              mask_safi, run_mmr, run_safi)

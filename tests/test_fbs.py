@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmrsafi import fbs, prox
+from mmrsafi import fbs
 from mmrsafi.core import Rng
 from mmrsafi.fbs import (NumericalError, SolverConfig, fbs_solve,
                          momentum_next, tol_fbs, tol_prox)
@@ -12,7 +12,7 @@ from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import admm_full_oracle
 from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                          duality_gap, prox_weighted_l1)
+                          prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
                              mask_safi)
 
@@ -268,21 +268,24 @@ def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
     cfg = SolverConfig(k_fbs=40, k_prox=50, lam=1e-2)
     X = ConstraintSet.box(0.0, 1.0)
     warm_u = fbs_solve(H, y, L, 1e-2, np.zeros((16, 16)), 1, cfg, X).dual
-    gap_checks = []
+    results = []
 
-    def recording_gap(*args):
-        gap_checks.append(args)
-        return duality_gap(*args)
+    def recording_prox(*args, **kwargs):
+        results.append(prox_weighted_l1(*args, **kwargs))
+        return results[-1]
 
-    monkeypatch.setattr(prox, "duality_gap", recording_gap)
+    monkeypatch.setattr(fbs, "prox_weighted_l1", recording_prox)
     counted_H, counted_L = Counting(H), Counting(L)
     res = fbs_solve(counted_H, y, counted_L, 1e-2, np.zeros((16, 16)), 2,
                     cfg, X, warm_u=warm_u)
-    # Each certificate check inside the dual loop costs one L.forward.
-    assert gap_checks
     # One prox call per FBS step, each opening with one L^T of its warm dual.
+    assert len(results) == res.iterations
     assert counted_L.calls["adjoint"] == res.prox_iterations + res.iterations
-    assert counted_L.calls["forward"] == res.prox_iterations + len(gap_checks)
+    # The gap checks call no bank.  Every solve ends at a check (k_prox is a
+    # multiple of 5), whose ascent step adds the solve's one more L.forward.
+    assert any(r.converged for r in results)
+    assert all(r.iterations % 5 == 0 for r in results)
+    assert counted_L.calls["forward"] == res.prox_iterations + res.iterations
     assert counted_H.calls == {"adjoint": 1, "normal": res.iterations}
 
 

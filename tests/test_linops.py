@@ -22,42 +22,58 @@ def periodic_correlate(x, k):
 
 
 def per_tap_stage(stage, x, adjoint=False):
-    """One stage as 0 + sum over nonzero taps of weight * shifted slice,
-    in tap order, on an np.pad wrap-padded input; the reference the fused
-    stencil must match bit for bit."""
+    """One stage as a sum over nonzero taps of weight * shifted slice, in
+    tap order, on an np.pad wrap-padded input, each channel opened by its
+    first tap; the reference the fused stencil must match bit for bit, sign
+    of zero included."""
     c_out, c_in_pg, ks, _ = stage.kernels.shape
     per_group = c_out // stage.groups
     r, d = ks // 2, ks - 1
     h, w = x.shape[1:]
     xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="wrap")
     out = np.zeros(((stage.c_in if adjoint else c_out), h, w))
+    opened = set()
     for o, i, a, b in np.argwhere(stage.kernels).tolist():
         v = float(stage.kernels[o, i, a, b])
         i += (o // per_group) * c_in_pg
         if adjoint:
-            out[i] += v * xp[o, d - a:d - a + h, d - b:d - b + w]
+            c, term = i, v * xp[o, d - a:d - a + h, d - b:d - b + w]
         else:
-            out[o] += v * xp[i, a:a + h, b:b + w]
+            c, term = o, v * xp[i, a:a + h, b:b + w]
+        if c in opened:
+            out[c] += term
+        else:
+            out[c] = term
+            opened.add(c)
     return out
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal signs, so +0 and -0 differ."""
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def assert_stencil_matches_per_tap_sum(bank, shape, rng):
     """Each stencil stage of the bank, forward and adjoint, and the whole
-    bank equal the per-tap reference exactly."""
-    x = rng.gaussian_array((bank.in_channels,) + shape)
-    s = rng.gaussian_array((bank.out_channels,) + shape)
-    fwd, adj = x, s
-    for stage, app in zip(bank.stages, bank._appliers):
-        assert type(app) is _StencilStage
-        y = rng.gaussian_array((stage.c_out,) + shape)
-        assert np.array_equal(app.forward(fwd), per_tap_stage(stage, fwd))
-        assert np.array_equal(app.adjoint(y), per_tap_stage(stage, y, True))
-        fwd = per_tap_stage(stage, fwd)
-    for stage in reversed(bank.stages):
-        adj = per_tap_stage(stage, adj, True)
-    assert np.array_equal(bank.forward(x), fwd)
-    assert np.array_equal(bank.adjoint(s), adj[0] if bank.in_channels == 1
-                          else adj)
+    bank equal the per-tap reference exactly, on Gaussian inputs and on
+    rounded ones, whose signed zeros and cancelling taps test zero signs."""
+    for draw in (rng.gaussian_array,
+                 lambda shape: np.round(rng.gaussian_array(shape))):
+        x = draw((bank.in_channels,) + shape)
+        s = draw((bank.out_channels,) + shape)
+        fwd, adj = x, s
+        for stage, app in zip(bank.stages, bank._appliers):
+            assert type(app) is _StencilStage
+            y = draw((stage.c_out,) + shape)
+            assert_same_bits(app.forward(fwd), per_tap_stage(stage, fwd))
+            assert_same_bits(app.adjoint(y), per_tap_stage(stage, y, True))
+            fwd = per_tap_stage(stage, fwd)
+        for stage in reversed(bank.stages):
+            adj = per_tap_stage(stage, adj, True)
+        assert_same_bits(bank.forward(x), fwd)
+        assert_same_bits(bank.adjoint(s),
+                         adj[0] if bank.in_channels == 1 else adj)
 
 
 def sparse_kernels(rng, shape):
@@ -72,11 +88,20 @@ def stencil_test_banks():
     signs = np.zeros((2, 1, 3, 3))     # +-1 taps, first pair (+1, -1)
     signs[0, 0, 0, 1], signs[0, 0, 1, 0], signs[0, 0, 2, 2] = 1.0, -1.0, -1.0
     signs[1, 0, 1, 1], signs[1, 0, 2, 0] = -1.0, 2.0
+    # 5x5, channel-wise, so the adjoint keeps each channel's first pair:
+    # (+1, +1) cut at different rows and columns, then a third tap;
+    # (-1, +1); (-1, -1), which is not merged; (+1, -1) on one row.
+    pairs = np.zeros((4, 1, 5, 5))
+    pairs[0, 0, 0, 0], pairs[0, 0, 4, 3], pairs[0, 0, 4, 4] = 1.0, 1.0, 0.5
+    pairs[1, 0, 1, 2], pairs[1, 0, 3, 0], pairs[1, 0, 4, 4] = -1.0, 1.0, 2.0
+    pairs[2, 0, 0, 4], pairs[2, 0, 2, 1], pairs[2, 0, 4, 4] = -1.0, -1.0, 1.0
+    pairs[3, 0, 2, 2], pairs[3, 0, 2, 3] = 1.0, -1.0
     return {
         "difference": difference_bank(),
         "box": box_bank(2, size=3),
         "mix-1x1": FilterBank([ConvStage(mix, 1)]),
         "signs": FilterBank([ConvStage(signs, 1)]),
+        "pairs": FilterBank([ConvStage(pairs, 4)]),
         "grouped": FilterBank([ConvStage(sparse_kernels(rng, (3, 1, 3, 3)),
                                          3)]),
         "two-stage": FilterBank([
@@ -86,8 +111,8 @@ def stencil_test_banks():
 
 
 # 3x3 kernels are taller than the 1x4 and 1x1 images, whose single row is
-# its own wrap; test_kernels_wider_than_image adds 5x5 kernels, whose pad
-# on 1x4 wraps around the image more than once.
+# its own wrap; the 5x5 pairs, and test_kernels_wider_than_image's other
+# 5x5 kernels, wrap around the 1x4 image more than once.
 @pytest.mark.parametrize("shape", [(8, 8), (5, 9), (1, 4), (1, 1), (64, 64)],
                          ids=["8x8", "5x9", "1x4", "1x1", "64x64"])
 def test_stencil_matches_per_tap_sum(shape):
@@ -218,6 +243,9 @@ def test_kernels_wider_than_image(sparse, applier, shape):
         u = rng.gaussian_array((bank.out_channels,) + shape)
         assert np.max(np.abs(bank.adjoint(u).ravel() - A.T @ u.ravel())) < 1e-12
         if sparse:
+            assert_stencil_matches_per_tap_sum(bank, shape, rng)
+    if sparse:
+        for bank in stencil_test_banks().values():
             assert_stencil_matches_per_tap_sum(bank, shape, rng)
 
 

@@ -1,15 +1,17 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import dual_gradient, duality_gap
 from mmrsafi.core import Rng
 from mmrsafi.linops import (ConvStage, FilterBank, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                          dual_gradient, duality_gap, prox_weighted_l1)
+                          prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
                              mask_safi)
 
@@ -354,17 +356,30 @@ class CountingOperator:
         return self.L.norm_bound()
 
 
-def two_adjoint_prox(z, L, gamma, X, cfg):
+def two_adjoint_prox(z, L, gamma, X, cfg, ceiling=np.inf):
     """The dual iteration with L^T applied to v and to u_{k+1} separately,
     restarting its momentum whenever <s, u_{k+1} - u_k> < 0 for the step s;
-    every fifth iteration it stops on the duality gap written out here;
-    returns (x, iterations)."""
+    every fifth iteration k it pairs the dual value at u_k with the primal
+    value at x^ = Proj_X(z - L^T v_k), written out here, and stops with x^
+    once their gap is <= eps * P(x^) and P(x^) <= ceiling; returns
+    (x, iterations)."""
     alpha = 1.0 / L.norm_bound() ** 2
     u = v = L.forward(z)
     a = L.adjoint(u)
     t, j = 1.0, 1
-    for k in range(1, cfg.max_iters + 1):
-        s = alpha * dual_gradient(L, X, z, v)
+    for k in range(cfg.max_iters + 1):
+        x_hat = X.project(z - L.adjoint(v))
+        lx_hat = L.forward(x_hat)
+        if k > 0 and k % 5 == 0:
+            x = X.project(z - a)
+            dual = 0.5 * np.sum((x - z) ** 2) + np.sum(a * x)
+            primal = (0.5 * np.sum((x_hat - z) ** 2)
+                      + gamma * np.sum(np.abs(lx_hat)))
+            if primal - dual <= cfg.epsilon * primal and primal <= ceiling:
+                return x_hat, k
+        if k == cfg.max_iters:
+            break
+        s = alpha * lx_hat
         u_next = np.clip(v + s, -gamma, gamma)
         if np.sum(s * (u_next - u)) < 0.0:
             v, t, j = u_next, 1.0, 1
@@ -372,16 +387,28 @@ def two_adjoint_prox(z, L, gamma, X, cfg):
             t_next = (j + 5.0) / 3.0
             v = u_next + ((t - 1.0) / t_next) * (u_next - u)
             t, j = t_next, j + 1
-        a_next = L.adjoint(u_next)
-        if k % 5 == 0:
-            x = X.project(z - a_next)
-            lx = L.forward(x)
-            penalty = gamma * np.sum(np.abs(lx))
-            primal = 0.5 * np.sum((x - z) ** 2) + penalty
-            if penalty - np.sum(u_next * lx) <= cfg.epsilon * primal:
-                return x, k
-        u, a = u_next, a_next
+        u, a = u_next, L.adjoint(u_next)
     return X.project(z - a), cfg.max_iters
+
+
+def primal_and_dual(L, gamma, X, z, x, u):
+    """P(x) = 0.5*||x - z||^2 + gamma*||L x||_1 and the dual value
+    D(u) = min_{w in X} 0.5*||w - z||^2 + <u, L w>, in closed form as
+    0.5*(||z||^2 - ||r||^2 + ||r - Proj_X r||^2) for r = z - L^T u."""
+    r = z - L.adjoint(u)
+    primal = 0.5 * np.sum((x - z) ** 2) + gamma * np.sum(np.abs(L.forward(x)))
+    dual = 0.5 * (np.sum(z ** 2) - np.sum(r ** 2)
+                  + np.sum((r - X.project(r)) ** 2))
+    return primal, dual
+
+
+def assert_certified(res, L, gamma, X, z, eps):
+    """The returned pair has 0 <= P - D <= eps * P, and res.gap is its
+    (P - D) / P to 1e-12 of P."""
+    primal, dual = primal_and_dual(L, gamma, X, z, res.x, res.dual)
+    assert res.converged and res.iterations % 5 == 0
+    assert 0.0 <= primal - dual <= eps * primal
+    assert abs(res.gap * primal - (primal - dual)) <= 1e-12 * primal
 
 
 def test_one_forward_and_one_adjoint_per_iteration():
@@ -391,13 +418,15 @@ def test_one_forward_and_one_adjoint_per_iteration():
     X = ConstraintSet.box(0.0, 1.0)
     cold = prox_weighted_l1(z, L, 0.3, X, TIGHT)
     assert cold.converged
-    # Each gap check, every fifth iteration, adds one L.forward.
-    assert L.forward_calls == cold.iterations + 1 + cold.iterations // 5
+    # The gap checks call no bank: a certified stop adds the one L.forward
+    # of the ascent step it takes but does not complete, and a cold start
+    # one more for u = L z.
+    assert L.forward_calls == cold.iterations + 2
     assert L.adjoint_calls == cold.iterations + 1
     L.forward_calls = L.adjoint_calls = 0
     warm = prox_weighted_l1(z + 1e-3, L, 0.3, X, TIGHT, warm_u=cold.dual)
     assert warm.converged
-    assert L.forward_calls == warm.iterations + warm.iterations // 5
+    assert L.forward_calls == warm.iterations + 1
     assert L.adjoint_calls == warm.iterations + 1
 
 
@@ -419,6 +448,33 @@ def test_matches_two_adjoint_iteration():
         restarted += res.restarts > 0
     # The comparison covers the restart rule, not only plain momentum.
     assert restarted >= 10
+
+
+@pytest.mark.parametrize("X", [ConstraintSet.all_space(),
+                               ConstraintSet.box(0.0, 1.0)],
+                         ids=["all_space", "box"])
+def test_ceiling_holds_back_the_certified_stop(X):
+    rng = Rng(66)
+    L = weighted_difference(rng, (8, 8))
+    z = rng.gaussian_array((8, 8))
+    loose = ProxConfig(max_iters=2000, epsilon=1e-3)
+    free = prox_weighted_l1(z, L, 0.3, X, loose)
+    tight = prox_weighted_l1(z, L, 0.3, X, TIGHT)
+    best = primal_and_dual(L, 0.3, X, z, tight.x, tight.dual)[0]
+    first = primal_and_dual(L, 0.3, X, z, free.x, free.dual)[0]
+    # A ceiling between the optimum and the first certified value makes
+    # the solve go on until its primal value is below the ceiling too.
+    ceiling = best + 1e-3 * (first - best)
+    res = prox_weighted_l1(z, L, 0.3, X, loose, ceiling=ceiling)
+    assert_certified(res, L, 0.3, X, z, loose.epsilon)
+    assert res.iterations > free.iterations
+    assert primal_and_dual(L, 0.3, X, z, res.x, res.dual)[0] <= ceiling
+    x_ref, iters_ref = two_adjoint_prox(z, L, 0.3, X, loose, ceiling)
+    assert res.iterations == iters_ref
+    assert np.max(np.abs(res.x - x_ref)) < 1e-12
+    # Below the optimum no point qualifies: the budget runs out.
+    low = prox_weighted_l1(z, L, 0.3, X, loose, ceiling=best * (1 - 1e-6))
+    assert not low.converged and low.iterations == loose.max_iters
 
 
 @pytest.mark.parametrize("box", [False, True])
@@ -559,10 +615,7 @@ def test_certified_prox_stops_on_its_duality_gap():
         X = (ConstraintSet.all_space(), ConstraintSet.box(0.0, 1.0))[i % 2]
         cfg = ProxConfig(max_iters=20000, epsilon=eps)
         res = prox_weighted_l1(z, L, gamma, X, cfg)
-        gap, primal = duality_gap(L, gamma, z, res.x, res.dual)
-        assert res.converged and res.iterations % 5 == 0
-        assert 0.0 <= gap <= eps * primal
-        assert res.gap == gap / primal
+        assert_certified(res, L, gamma, X, z, eps)
 
 
 @pytest.mark.parametrize("X", [ConstraintSet.all_space(),
@@ -580,8 +633,14 @@ def test_tolerance_below_roundoff_converges_only_on_the_gap(X):
     assert res.converged == (res.gap <= cfg.epsilon)
     if not res.converged:
         assert res.iterations == cfg.max_iters
-    x_ref, iters_ref = two_adjoint_prox(z, L, 0.3, X, cfg)
-    assert res.iterations == iters_ref
+    # It stops at the first check whose gap is <= eps: a budget ending at
+    # an earlier check runs the same iterates to the same gap there.
+    for k in range(5, res.iterations, 5):
+        early = prox_weighted_l1(z, L, 0.3, X, replace(cfg, max_iters=k))
+        assert not early.converged and early.gap > cfg.epsilon, k
+    # Where a gap rounds to <= 0 depends on roundoff, so the reference may
+    # stop at another check, but by then both have reached the same point.
+    x_ref, _ = two_adjoint_prox(z, L, 0.3, X, cfg)
     assert np.max(np.abs(res.x - x_ref)) < 1e-12
 
 
@@ -593,8 +652,15 @@ def test_certified_prox_out_of_budget_is_unconverged():
     res = prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=7,
                                                     epsilon=1e-16))
     assert not res.converged and res.iterations == 7
-    # G/P of the last check, at iteration 5, not of the returned pair.
+    assert np.array_equal(res.x, X.project(z - L.adjoint(res.dual)))
+    # G/P of the last check, at iteration 5, not of the returned pair.  A
+    # budget of 5 still takes that check's ascent step; eps = 1 certifies
+    # the same pair, u_5 with the primal point of that step.
     early = prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=5,
                                                       epsilon=1e-16))
-    gap, primal = duality_gap(L, 0.3, z, early.x, early.dual)
-    assert res.gap == early.gap == gap / primal > 1e-16
+    assert not early.converged and early.iterations == 5
+    loose = prox_weighted_l1(z, L, 0.3, X, ProxConfig(max_iters=5,
+                                                      epsilon=1.0))
+    assert np.array_equal(loose.dual, early.dual)
+    assert_certified(loose, L, 0.3, X, z, 1.0)
+    assert res.gap == early.gap == loose.gap > 1e-16

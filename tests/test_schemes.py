@@ -230,6 +230,19 @@ def test_run_mmr_descent_and_improvement_on_phantom():
     assert trace.residuals[-1] < 1e-4
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_mmr_descends_under_the_default_schedule(seed):
+    # The default prox tolerance on the identity path, 25 * tol_fbs, is far
+    # above the decrease of a late step; the prox's ceiling, the problem's
+    # objective at the step's anchor, keeps each step from rising.
+    y = add_noise(make_phantom(size=64), 25 / 255, Rng(seed))
+    _, trace = run_mmr(default_tv_model(), IdentityOp(), y)
+    objectives = trace.objectives
+    assert len(objectives) > 5
+    for prev, cur in zip(objectives, objectives[1:]):
+        assert cur <= prev * (1.0 + 1e-12)
+
+
 def test_run_safi_constant_mask_two_steps():
     # zero output splines: mask is 0.5 everywhere, so with the first mask
     # already built from the (zero) iterate, step 2 reproduces step 1
