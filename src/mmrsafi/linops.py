@@ -6,12 +6,15 @@ zero-mean kernels annihilate constants, and give nonnegative unit-sum
 kernels exact row and column sums of one; project_zero_mean and
 project_positive_normalized put a stack of kernels in those forms.
 Stages with few nonzero taps per channel are applied directly as periodic
-stencils, each tap reading the one to four blocks of its wrapped shift
-straight from the input; a channel whose first two taps are +-1, and not
-both -1, opens with their signed sum in one pass.  Dense multi-channel
-stages go through FFT multipliers cached per image shape.  A bank's
-forward and adjoint write into a caller's out array when given one, which
-may share memory with the input.  Periodic banks are block-circulant, so
+stencils on the flattened (channels, h * w) images: each tap is one
+periodic shift, read as one or two contiguous blocks straight from the
+input, and the columns where a tap's column shift wraps are then redone
+through column views.  A channel whose first two taps are +-1, and not
+both -1, opens with their signed sum in one pass.  The steps are built once
+per direction and image shape.  Dense multi-channel stages go through FFT
+multipliers cached per image shape.  A bank's forward and adjoint write
+into a caller's out array when given one, which may share memory with the
+input and need not be contiguous.  Periodic banks are block-circulant, so
 their spectral norm is exact from one impulse response per input channel.
 A direct dense materialization is available for oracle-scale checks.
 """
@@ -85,26 +88,27 @@ class FilterBank:
                 raise ValueError("stage channel counts do not compose")
         self.stages = tuple(own)
         self._appliers = tuple(_applier(st) for st in self.stages)
+        self._c_in, self._c_out = own[0].c_in, own[-1].c_out
         self._norms = {}
 
     @property
     def in_channels(self):
-        return self.stages[0].c_in
+        return self._c_in
 
     @property
     def out_channels(self):
-        return self.stages[-1].c_out
+        return self._c_out
 
     def forward(self, x, out=None):
         """W x, shaped (out_channels, h, w); written into out when given."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             x = x[None]
-        if x.shape[0] != self.in_channels:
+        if x.shape[0] != self._c_in:
             raise ValueError(
-                f"expected {self.in_channels} input channels, got {x.shape[0]}")
+                f"expected {self._c_in} input channels, got {x.shape[0]}")
         if out is not None:
-            _check_out(out, (self.out_channels,) + x.shape[1:])
+            _check_out(out, (self._c_out,) + x.shape[1:])
         for app in self._appliers[:-1]:
             x = app.forward(x)
         return self._appliers[-1].forward(x, out)
@@ -115,18 +119,18 @@ class FilterBank:
         s = np.asarray(s, dtype=np.float64)
         if s.ndim == 2:
             s = s[None]
-        if s.shape[0] != self.out_channels:
+        if s.shape[0] != self._c_out:
             raise ValueError(
-                f"expected {self.out_channels} channels, got {s.shape[0]}")
+                f"expected {self._c_out} channels, got {s.shape[0]}")
         if out is not None:
             shape = s.shape[1:]
-            _check_out(out, shape if self.in_channels == 1
-                       else (self.in_channels,) + shape)
+            _check_out(out, shape if self._c_in == 1
+                       else (self._c_in,) + shape)
         for app in self._appliers[:0:-1]:
             s = app.adjoint(s)
         if out is None:
             x = self._appliers[0].adjoint(s)
-            return x[0] if self.in_channels == 1 else x
+            return x[0] if self._c_in == 1 else x
         self._appliers[0].adjoint(s, out[None] if out.ndim == 2 else out)
         return out
 
@@ -161,17 +165,18 @@ def _check_out(out, shape):
                          f"got {out.dtype} {out.shape}")
 
 
-# Direct stencils cost one to four block operations per nonzero tap, two
+# Direct stencils cost one or two contiguous block operations per nonzero
+# tap, plus one or two column operations per tap and wrapped column, two
 # per block for a tap that is not +-1; FFT multipliers cost a few
 # transforms per channel.  Measured break-even (forward plus adjoint of one
-# stage with Gaussian taps in a 5x5 kernel, one thread of a 2-core Xeon,
-# numpy 2.4): about 1.5 taps per input and output channel at 8x8, 2 at
-# 64x64 and 6 to 8 at 256x256.  The difference bank (1.3 taps per channel,
-# all +-1) runs 5.5x, 6.4x and 16x faster as a stencil at those sizes; the
-# 3x3 box bank (4.5) 3.1x and 1.8x slower at 8x8 and 64x64, and 1.7x faster
-# at 256x256.  The limit does not depend on the image, and it keeps every
-# shipped bank on stencils: stages with more nonzero taps than this per
-# channel run through FFTs.
+# grouped two-channel stage with Gaussian taps in a 5x5 kernel, one thread
+# of a 2-core Xeon, numpy 2.4): about 2 taps per input and output channel
+# at 8x8, 3.5 at 64x64 and 12 at 256x256.  The difference bank (1.3 taps
+# per channel, all +-1) runs 5.7x, 9.7x and 30x faster as a stencil at
+# those sizes; the 3x3 box bank (4.5) 4.2x and 1.5x slower at 8x8 and
+# 64x64, and 3.7x faster at 256x256.  The limit does not depend on the
+# image, and it keeps every shipped bank on stencils: stages with more
+# nonzero taps than this per channel run through FFTs.
 _STENCIL_MAX_TAPS_PER_CHANNEL = 8
 
 
@@ -196,80 +201,133 @@ def _wrapped_blocks(n, *shifts):
         for p, q in zip(cuts, cuts[1:]))
 
 
-def _apply_taps(plan, x, out):
-    """out[c] = sum over channel c's taps of weight * x[source] shifted
-    periodically, so that element (i, j) reads x[source, (i + dr) % h,
-    (j + dc) % w]; into a new array unless out is given.
+# Kinds of stencil step, run by _run_steps.
+_ZERO, _OPEN, _PAIR, _ADD, _ADD_SCALED = range(5)
 
-    plan holds one (pair, taps) per channel, from _plan.  Each tap reads
-    its wrapped blocks straight from x.  A pair opens the channel as
-    op(first, second) in one pass over the joint blocks of its two taps;
-    otherwise the first tap opens it.  The remaining taps follow in tap
-    order, and +-1 taps are added or subtracted without a product.  Either
-    way the sum equals the tap-by-tap sum opened by the first tap, sign of
-    zero included.
+
+def _terms(taps):
+    """One channel's taps (source, row shift, col shift, weight), in kernel
+    order, as (kind, arg, taps) terms: the first opens the channel, the
+    others accumulate into it.
+
+    When the first two weights are +-1 and not both -1, they open the
+    channel together as arg(p, q), their signed sum exactly, sign of zero
+    included: first + second, first - second, or second - first.
+    -first - second is not paired: a negation then a subtraction gives a
+    zero sign no single op gives.  Otherwise the first tap opens it as
+    weight * tap; x * -1.0 is -x exactly.  The remaining +-1 taps are
+    added or subtracted without a product.  Either way the sum equals the
+    tap-by-tap sum opened by the first tap, sign of zero included.
     """
-    h, w = x.shape[1:]
-    if out is None:
-        out = np.empty((len(plan), h, w))
-    elif np.may_share_memory(x, out):
-        x = x.copy()            # taps read x while out is written
-    tmp = None
-    for acc, (pair, ops) in zip(out, plan):
-        if pair is not None:
-            op, (i, dr, dc), (j, er, ec) = pair
-            for tr, sr, qr in _wrapped_blocks(h, dr, er):
-                for tc, sc, qc in _wrapped_blocks(w, dc, ec):
-                    op(x[i, sr, sc], x[j, qr, qc], out=acc[tr, tc])
-        elif not ops:
-            acc.fill(0.0)
-        opened = int(pair is not None)
-        for n, (src, dr, dc, v) in enumerate(ops, start=opened):
-            for tr, sr in _wrapped_blocks(h, dr):
-                for tc, sc in _wrapped_blocks(w, dc):
-                    t, s = acc[tr, tc], x[src, sr, sc]
-                    if n == 0:
-                        if v == 1.0:
-                            np.copyto(t, s)
-                        elif v == -1.0:
-                            np.negative(s, out=t)
-                        else:
-                            np.multiply(s, v, out=t)
-                    elif v == 1.0:
-                        np.add(t, s, out=t)
-                    elif v == -1.0:
-                        np.subtract(t, s, out=t)
-                    else:
-                        if tmp is None:
-                            tmp = np.empty(h * w)
-                        # A contiguous scratch block: numpy buffers
-                        # strided outputs.
-                        scaled = tmp[:s.size].reshape(s.shape)
-                        np.add(t, np.multiply(s, v, out=scaled), out=t)
-    return out
-
-
-def _plan(taps):
-    """(pair, rest) for one channel's taps (source, row shift, col shift,
-    weight).  When the first two weights are +-1 and not both -1, pair is
-    (op, p, q) with op(p, q) their signed sum exactly, sign of zero
-    included: first + second, first - second, or second - first; rest
-    holds the other taps.  -first - second is not paired: a negation then
-    a subtraction gives a zero sign no single op gives.  Otherwise pair is
-    None and rest holds every tap."""
+    if not taps:
+        return [(_ZERO, None, ())]
+    pair = None
     if len(taps) > 1:
-        (*first, v), (*second, w) = taps[:2]
-        pair = {(1.0, 1.0): (np.add, first, second),
-                (1.0, -1.0): (np.subtract, first, second),
-                (-1.0, 1.0): (np.subtract, second, first)}.get((v, w))
-        if pair is not None:
-            return pair, tuple(taps[2:])
-    return None, tuple(taps)
+        first, second = taps[:2]
+        pair = {(1.0, 1.0): (np.add, (first, second)),
+                (1.0, -1.0): (np.subtract, (first, second)),
+                (-1.0, 1.0): (np.subtract, (second, first))}.get(
+                    (first[3], second[3]))
+    if pair is not None:
+        terms, rest = [(_PAIR,) + pair], taps[2:]
+    else:
+        terms, rest = [(_OPEN, taps[0][3], taps[:1])], taps[1:]
+    for tap in rest:
+        v = tap[3]
+        if v == 1.0 or v == -1.0:
+            terms.append((_ADD, np.add if v == 1.0 else np.subtract, (tap,)))
+        else:
+            terms.append((_ADD_SCALED, v, (tap,)))
+    return terms
+
+
+@lru_cache(maxsize=64)
+def _stencil_steps(channel_taps, h, w):
+    """The steps that apply each channel's taps to (c, h * w) flattened
+    images, as (kind, target, source, second source, arg) tuples of
+    indices, run by _run_steps.  Cached, so that stages with the same taps
+    share them.
+
+    A tap shifting by (dr, dc) is a periodic shift by dr * w + dc of the
+    flattened image, exact on every column j with 0 <= j + dc < w.  The
+    flat pass runs each term over the contiguous blocks of its shifts.  The
+    band pass then recomputes the columns where any tap of the channel
+    wraps, term by term, through column views whose rows wrap by dr.  So
+    every element sees the op sequence of the tap-by-tap sum.  Flat blocks
+    that only reach band columns are left out, unless they open elements
+    that a later flat block accumulates into.
+    """
+    n = h * w
+    steps = []
+    for c, taps in enumerate(channel_taps):
+        terms = _terms(taps)
+        band = set()
+        for _, _, dc, _ in taps:
+            band.update(range(max(w - dc, 0), w) if dc > 0
+                        else range(min(-dc, w)))
+
+        def in_band(block):
+            return all(i % w in band for i in range(
+                block.start, min(block.stop, block.start + w)))
+
+        opening, adding = [], []
+        for k, (kind, arg, tt) in enumerate(terms):
+            srcs = [src for src, *_ in tt]
+            pad = (None,) * (2 - len(tt))
+            shifts = (dr * w + dc for _, dr, dc, _ in tt)
+            for target, *reads in _wrapped_blocks(n, *shifts):
+                step = (kind, (c, target), *zip(srcs, reads), *pad, arg)
+                (adding if k else opening).append((target, step))
+        adding = [(t, step) for t, step in adding if not in_band(t)]
+        steps += [step for t, step in opening if not in_band(t) or any(
+            t.start < u.stop and u.start < t.stop for u, _ in adding)]
+        steps += [step for _, step in adding]
+        # Column j of rows p:q is the flat slice p * w + j : q * w : w.
+        for kind, arg, tt in terms:
+            srcs = [src for src, *_ in tt]
+            pad = (None,) * (2 - len(tt))
+            for target, *rows in _wrapped_blocks(h, *(t[1] for t in tt)):
+                p, q = target.start * w, target.stop * w
+                reads = [(r.start * w, r.stop * w, dc)
+                         for (_, _, dc, _), r in zip(tt, rows)]
+                for j in band:
+                    steps.append((kind, (c, slice(p + j, q, w)), *zip(srcs, [
+                        slice(a + (j + dc) % w, b, w) for a, b, dc in reads]),
+                        *pad, arg))
+    return tuple(steps)
+
+
+def _run_steps(steps, x, out):
+    """Run stencil steps, reading flattened images x and writing out."""
+    tmp = None
+    for kind, target, a, b, arg in steps:
+        t = out[target]
+        if kind == _ADD:
+            arg(t, x[a], out=t)
+        elif kind == _PAIR:
+            arg(x[a], x[b], out=t)
+        elif kind == _ADD_SCALED:
+            s = x[a]
+            if tmp is None:
+                tmp = np.empty(out.shape[1])
+            # A contiguous scratch block: numpy buffers strided outputs.
+            np.add(t, np.multiply(s, arg, out=tmp[:s.size]), out=t)
+        elif kind == _OPEN:
+            np.multiply(x[a], arg, out=t)
+        else:
+            t.fill(0.0)
+
+
+def _flattens(a):
+    """Whether (c, h, w) array a reshapes to (c, h * w) as a view."""
+    _, h, w = a.shape
+    return h == 1 or w == 1 or a.strides[1] == a.strides[2] * w
 
 
 class _StencilStage:
-    """A stage applied as a sum over its nonzero taps, each read as periodic
-    blocks of the input with no padded copy."""
+    """A stage applied as a sum over its nonzero taps, each read as
+    periodic shifts of the flattened input with no padded copy; the steps
+    are built once per direction and image shape."""
 
     def __init__(self, stage):
         c_out, c_in_pg, ks, _ = stage.kernels.shape
@@ -286,14 +344,38 @@ class _StencilStage:
             i += (o // per_group) * c_in_pg
             forward_taps[o].append((i, a - r, b - r, v))
             adjoint_taps[i].append((o, r - a, r - b, v))
-        self._forward_plan = [_plan(taps) for taps in forward_taps]
-        self._adjoint_plan = [_plan(taps) for taps in adjoint_taps]
+        self._taps = (tuple(map(tuple, forward_taps)),
+                      tuple(map(tuple, adjoint_taps)))
+        self._steps = {}
 
     def forward(self, x, out=None):
-        return _apply_taps(self._forward_plan, x, out)
+        return self._apply(0, x, out)
 
     def adjoint(self, y, out=None):
-        return _apply_taps(self._adjoint_plan, y, out)
+        return self._apply(1, y, out)
+
+    def _apply(self, direction, x, out):
+        """out[c] = sum over channel c's taps of weight * x[source] shifted
+        periodically, so that element (i, j) reads x[source, (i + dr) % h,
+        (j + dc) % w]; into a new array unless out is given."""
+        c, h, w = x.shape
+        key = (direction, h, w)
+        steps = self._steps.get(key)
+        if steps is None:
+            steps = self._steps[key] = _stencil_steps(self._taps[direction],
+                                                      h, w)
+        if out is None:
+            out = np.empty((len(self._taps[direction]), h, w))
+        elif np.may_share_memory(x, out):
+            x = x.copy()            # taps read x while out is written
+        x = x.reshape(c, h * w)     # a copy when x's strides allow no view
+        if _flattens(out):
+            _run_steps(steps, x, out.reshape(len(out), h * w))
+        else:
+            flat = np.empty((len(out), h * w))
+            _run_steps(steps, x, flat)
+            np.copyto(out, flat.reshape(out.shape))
+        return out
 
 
 class _SpectralStage:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mmrsafi import linops
 from mmrsafi.core import Rng
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, _SpectralStage,
                             _StencilStage, box_bank, dense_matrix_of,
@@ -96,12 +97,17 @@ def stencil_test_banks():
     pairs[1, 0, 1, 2], pairs[1, 0, 3, 0], pairs[1, 0, 4, 4] = -1.0, 1.0, 2.0
     pairs[2, 0, 0, 4], pairs[2, 0, 2, 1], pairs[2, 0, 4, 4] = -1.0, -1.0, 1.0
     pairs[3, 0, 2, 2], pairs[3, 0, 2, 3] = 1.0, -1.0
+    # An unpaired -1 opens the channel from a column that wraps; numpy
+    # 2.4's np.negative misreads such column views on 8-column images.
+    negate = np.zeros((1, 1, 3, 3))
+    negate[0, 0, 0, 2], negate[0, 0, 1, 1] = -1.0, 0.5
     return {
         "difference": difference_bank(),
         "box": box_bank(2, size=3),
         "mix-1x1": FilterBank([ConvStage(mix, 1)]),
         "signs": FilterBank([ConvStage(signs, 1)]),
         "pairs": FilterBank([ConvStage(pairs, 4)]),
+        "negate": FilterBank([ConvStage(negate, 1)]),
         "grouped": FilterBank([ConvStage(sparse_kernels(rng, (3, 1, 3, 3)),
                                          3)]),
         "two-stage": FilterBank([
@@ -113,8 +119,9 @@ def stencil_test_banks():
 # 3x3 kernels are taller than the 1x4 and 1x1 images, whose single row is
 # its own wrap; the 5x5 pairs, and test_kernels_wider_than_image's other
 # 5x5 kernels, wrap around the 1x4 image more than once.
-@pytest.mark.parametrize("shape", [(8, 8), (5, 9), (1, 4), (1, 1), (64, 64)],
-                         ids=["8x8", "5x9", "1x4", "1x1", "64x64"])
+@pytest.mark.parametrize("shape", [(8, 8), (5, 9), (3, 8), (1, 4), (1, 1),
+                                   (64, 64)],
+                         ids=["8x8", "5x9", "3x8", "1x4", "1x1", "64x64"])
 def test_stencil_matches_per_tap_sum(shape):
     rng = Rng(38)
     for bank in stencil_test_banks().values():
@@ -411,7 +418,10 @@ def out_test_banks():
 @pytest.mark.parametrize("name", list(out_test_banks()))
 def test_out_is_filled_and_returned(name):
     # Forward outputs are 3-D; adjoint outputs are 2-D for one input
-    # channel and 3-D otherwise.  The input and out may be strided views.
+    # channel and 3-D otherwise.  The input and out may be strided views,
+    # with or without the flat (channels, h * w) view stencils run on.
+    # Outs start as signalling NaNs, so that a step reading an element of
+    # out before writing it raises.
     bank = out_test_banks()[name]
     expect = {"stencil": _StencilStage, "stencil-c_in-3": _StencilStage,
               "spectral": _SpectralStage, "spectral-c_in-2": _SpectralStage}
@@ -422,17 +432,30 @@ def test_out_is_filled_and_returned(name):
     x = rng.gaussian_array(shape if bank.in_channels == 1
                            else (bank.in_channels,) + shape)
     s = rng.gaussian_array((bank.out_channels,) + shape)
+
+    def views(like):
+        """An array shaped like like, then views shaped like it: every
+        other column, the left half (no flat view), all but the last row
+        (a flat view with gaps between channels), transposed."""
+        def unset(shape):
+            return np.full(shape, 0x7FF0000000000001,
+                           dtype=np.int64).view(np.float64)
+        lead = like.shape[:-2]
+        return (unset(like.shape), unset(lead + (8, 16))[..., ::2],
+                unset(lead + (8, 16))[..., :8], unset(lead + (9, 8))[..., :8, :],
+                unset(like.shape).swapaxes(-1, -2))
+
     for apply, arg in ((bank.forward, x), (bank.adjoint, s)):
         ref = apply(arg)
         assert ref.ndim == (2 if apply == bank.adjoint and
                             bank.in_channels == 1 else 3)
-        strided = np.zeros(arg.shape[:-1] + (2 * shape[1],))
-        strided[..., ::2] = arg
-        assert np.array_equal(apply(strided[..., ::2]), ref)
-        for out in (np.full(ref.shape, np.nan),
-                    np.full(ref.shape[:-1] + (2 * shape[1],), np.nan)[..., ::2]):
-            assert apply(arg, out=out) is out
-            assert np.array_equal(out, ref)
+        for view in views(arg):
+            view[...] = arg
+            assert_same_bits(apply(view), ref)
+        for out in views(ref):
+            with np.errstate(invalid="raise"):
+                assert apply(arg, out=out) is out
+            assert_same_bits(out, ref)
 
 
 def test_bad_out_rejected():
@@ -491,3 +514,37 @@ def test_stencil_allocates_less_than_an_image():
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes
+
+
+def test_stencil_steps_are_built_once_per_shape(monkeypatch):
+    built = []
+
+    def counting(taps, h, w):
+        built.append((h, w))
+        return real(taps, h, w)
+
+    real = linops._stencil_steps
+    monkeypatch.setattr(linops, "_stencil_steps", counting)
+    bank = stencil_test_banks()["two-stage"]
+    rng = Rng(47)
+    x = rng.gaussian_array((8, 8))
+    s = rng.gaussian_array((bank.out_channels, 8, 8))
+    for apply, arg in ((bank.forward, x), (bank.adjoint, s)):
+        before = len(built)
+        first = apply(arg)
+        assert len(built) == before + 2         # one per stage
+        assert_same_bits(apply(arg), first)
+        assert len(built) == before + 2
+
+    # Steps cached for one shape never serve another: a bank used on 8x8,
+    # then 5x9, then 8x8 again gives the bits of fresh banks.
+    used = stencil_test_banks()
+    for shape in ((8, 8), (5, 9), (8, 8)):
+        for name, bank in used.items():
+            fresh = stencil_test_banks()[name]
+            x = rng.gaussian_array((bank.in_channels,) + shape)
+            s = rng.gaussian_array((bank.out_channels,) + shape)
+            assert_same_bits(bank.forward(x), fresh.forward(x))
+            assert_same_bits(bank.adjoint(s), fresh.adjoint(s))
+    assert all(len(app._steps) == 4 for bank in used.values()
+               for app in bank._appliers)
