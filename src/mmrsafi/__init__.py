@@ -3,9 +3,8 @@
 from .core import Rng, psnr
 from .fbs import SolverConfig, fbs_solve, tol_fbs, tol_prox
 from .forward import IdentityOp, MaskedDftOp, add_noise, make_cartesian_mask
-from .linops import (ConvStage, FilterBank, box_bank, dense_matrix_of,
-                     difference_bank, project_positive_normalized,
-                     project_zero_mean)
+from .linops import (ConvStage, FilterBank, box_bank, difference_bank,
+                     project_positive_normalized, project_zero_mean)
 from .phantom import make_phantom
 from .prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
                    momentum_next, prox_weighted_l1)

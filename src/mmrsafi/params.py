@@ -107,7 +107,8 @@ def safi_to_archive(model):
 
 
 def model_from_archive(archive):
-    """Rebuild an MmrModel or SafiModel, projecting the W, Wt and B kernels."""
+    """Rebuild an MmrModel or SafiModel, projecting the W, Wt and B kernels
+    and the potentials' sigma splines."""
     kind = archive.scalar("kind")
     lam = archive.scalar("lambda")
     if kind == _KIND_MMR:

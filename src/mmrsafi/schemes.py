@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import psnr, relative_change
-from .fbs import SolverConfig, fbs_solve
+from .fbs import NumericalError, SolverConfig, fbs_solve
 from .linops import ConvStage, FilterBank, difference_bank, box_bank
 from .prox import ConstraintSet, WeightedAnalysisOperator
 from .splines import (ConcavePotential, HalfLineSpline, LinearSpline,
@@ -186,6 +186,8 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
         x = np.zeros(H.adjoint(y).shape)
     else:
         x = np.asarray(x_init, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("non-finite initial iterate")
     # The result's array is made before any solve and filled at the end, so
     # that a result the caller keeps does not sit above the solves' freed
     # temporaries and stop the allocator from returning them to the system.

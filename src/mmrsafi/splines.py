@@ -1,9 +1,10 @@
 """Linear-spline activations, monotone projection, and concave potentials.
 
 The reweighting machinery needs three ingredients: symmetric linear splines
-with linear extrapolation, half-line splines constrained to be non-increasing
+with linear extrapolation, half-line splines projected to be non-increasing
 with value 1 at the origin, and the piecewise-quadratic potentials obtained
-by integrating the clipped splines.
+by integrating the clipped splines.  A potential accepts only such a
+projected spline; parameter archives are projected when they are loaded.
 """
 
 import numpy as np
@@ -58,8 +59,9 @@ class HalfLineSpline:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
-            raise ValueError("half-line spline evaluated at negative input")
+        if not np.all(x >= 0):
+            raise ValueError("half-line spline evaluated at negative or NaN "
+                             "input")
         d = self.values
         m = d.size - 1
         g = x / self.delta
@@ -89,43 +91,39 @@ class ConcavePotential:
     """Increasing concave potential given through its derivative.
 
     The derivative is psi'(x) = clip_[0,1](sigma(r*x)) and psi(x) is its
-    integral from 0.  With sigma a projected half-line spline, psi'(0) = 1
-    and psi' is non-increasing, so psi is concave.  The knots are the sigma
-    grid refined by every point where sigma crosses 0 or 1: between two
-    knots the clipped derivative is linear, so psi is exactly quadratic
-    there, for any sigma, projected or not.
+    integral from 0.  sigma must be finite and non-increasing from
+    sigma(0) = 1, the form project_nonincreasing gives, so that psi'(0) = 1,
+    psi' is non-increasing and psi is concave.  The knots are the sigma grid
+    and the point, if any, where sigma falls through 0: between two knots
+    psi' is linear, so psi is exactly quadratic there.
     """
 
     def __init__(self, sigma, r):
         if not r > 0:
             raise ValueError("scaling r must be positive")
+        d = sigma.values
+        if not (np.all(np.isfinite(d)) and d[0] == 1.0
+                and np.all(d[1:] <= d[:-1])):
+            raise ValueError("sigma must be finite and non-increasing from 1")
         self.sigma = sigma
         self.r = float(r)
         # Knots, clipped values, cumulative integrals and slopes in the
         # argument u = r*x; the appended zero slope is sigma's constant tail.
-        # psi' at a crossing is the level crossed, not sigma read there,
-        # whose roundoff scales with |d|.
-        d = sigma.values
-        knots, levels = [0.0], [np.nan]
-        for j in range(d.size - 1):
-            # Points inside the segment where sigma crosses 0 or 1, in the
-            # order it crosses them, found by comparison: a product of
-            # offsets overflows for huge d.
-            low, high = sorted((d[j], d[j + 1]))
-            for level in ((1.0, 0.0) if d[j + 1] < d[j] else (0.0, 1.0)):
-                if low < level < high:
-                    t = (level - d[j]) / (d[j + 1] - d[j])
-                    knots.append((j + t) * sigma.delta)
-                    levels.append(level)
-            knots.append((j + 1) * sigma.delta)
-            levels.append(np.nan)
-        # Crossings that round onto one point, or onto a grid point, repeat
-        # a knot: psi' steps there, over a segment of zero width.
-        self._knots = np.array(knots)
-        levels = np.array(levels)
-        v = np.where(np.isnan(levels),
-                     np.clip(sigma(self._knots), 0.0, 1.0), levels)
-        steps = np.diff(self._knots)
+        knots = sigma.delta * np.arange(d.size)
+        v = np.clip(sigma(knots), 0.0, 1.0)
+        # A non-increasing sigma falls through 0 in one segment at most;
+        # psi' there is 0, not sigma read there, whose roundoff scales
+        # with |d|.
+        crossing = np.flatnonzero((d[:-1] > 0) & (d[1:] < 0))
+        if crossing.size:
+            j = crossing[0]
+            t = -d[j] / (d[j + 1] - d[j])
+            knots = np.insert(knots, j + 1, (j + t) * sigma.delta)
+            v = np.insert(v, j + 1, 0.0)
+        # A crossing that rounds onto a grid knot repeats it: psi' steps
+        # there, over a segment of zero width.
+        steps = np.diff(knots)
+        self._knots = knots
         self._values = v
         self._integrals = np.concatenate(
             ([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * steps)))
@@ -135,16 +133,14 @@ class ConcavePotential:
 
     def derivative(self, x):
         """psi'(x) for x >= 0."""
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
-            raise ValueError("potential derivative evaluated at negative input")
-        return np.clip(self.sigma(self.r * x), 0.0, 1.0)
+        return np.clip(self.sigma(self.r * np.asarray(x, dtype=np.float64)),
+                       0.0, 1.0)
 
     def __call__(self, x):
         """psi(x) = integral of psi' from 0 to x, for x >= 0."""
         x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
-            raise ValueError("potential evaluated at negative input")
+        if not np.all(x >= 0):
+            raise ValueError("potential evaluated at negative or NaN input")
         u = self.r * x
         k = np.searchsorted(self._knots, u, side="right") - 1
         s = u - self._knots[k]

@@ -6,7 +6,7 @@ import pytest
 from helpers import random_mmr_model, random_safi_model
 from mmrsafi import schemes
 from mmrsafi.core import Rng, psnr
-from mmrsafi.fbs import SolverConfig, fbs_solve, tol_fbs
+from mmrsafi.fbs import NumericalError, SolverConfig, fbs_solve, tol_fbs
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
 from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, box_bank,
@@ -404,6 +404,17 @@ def test_one_mask_per_step_none_after_the_last(monkeypatch, run, steps,
                        x_init=x_init)
         assert len(trace.residuals) == steps
         assert len(calls) == masks
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("run", [run_cvx, run_mmr, run_safi])
+def test_non_finite_initial_iterate_refused(run, bad):
+    model = default_safi_model() if run is run_safi else default_tv_model()
+    y = add_noise(make_phantom(8, seed=4), 0.05, Rng(20))
+    x_init = y.copy()
+    x_init[3, 5] = bad
+    with pytest.raises(NumericalError, match="non-finite initial iterate"):
+        run(model, IdentityOp(), y, x_init=x_init)
 
 
 def test_cfg_lambda_replaces_model_lambda_in_the_objective():

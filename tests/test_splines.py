@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +97,10 @@ def test_constant_sigma_gives_identity_psi():
 
 def test_negative_input_rejected():
     pot = ConcavePotential(HalfLineSpline(0.1, np.ones(5)), r=1.0)
-    with pytest.raises(ValueError):
-        pot.derivative(-0.1)
-    with pytest.raises(ValueError):
-        pot(np.array([0.5, -1e-9]))
+    for x in (-0.1, np.array([0.5, -1e-9]), np.nan, np.array([0.5, np.nan])):
+        for fn in (pot, pot.derivative, pot.sigma):
+            with pytest.raises(ValueError):
+                fn(x)
 
 
 def test_potential_matches_quadrature():
@@ -125,50 +126,85 @@ def test_potential_matches_quadrature():
             assert pot(x) == pytest.approx(ref, abs=1e-9)
 
 
-@pytest.mark.parametrize("values, crossings", [
-    ((1.5, 0.5, 0.2), [0.5]),                 # above 1, crossing 1
-    ((1.0, -0.5, 0.5, 0.5), [2.0 / 3.0, 1.5]),  # rises back through 0
+def exact_tables(delta, d):
+    """Knots, psi' values, integrals and slopes of clip_[0,1](sigma), from
+    the coefficients d in rational arithmetic."""
+    delta, d = Fraction(delta), [Fraction(v) for v in d]
+    knots, values = [], []
+    for j, v in enumerate(d):
+        if j and d[j - 1] > 0 > v:
+            knots.append((j - 1 + d[j - 1] / (d[j - 1] - v)) * delta)
+            values.append(Fraction(0))
+        knots.append(j * delta)
+        values.append(min(max(v, Fraction(0)), Fraction(1)))
+    integrals, slopes = [Fraction(0)], []
+    for k in range(len(knots) - 1):
+        step = knots[k + 1] - knots[k]
+        rise = values[k + 1] - values[k]
+        integrals.append(integrals[-1] + (values[k] + rise / 2) * step)
+        slopes.append(rise / step)
+    return knots, values, integrals, slopes + [Fraction(0)]
+
+
+@pytest.mark.parametrize("delta, values", [
+    (0.5, (1.0, 0.75, 0.25, -0.25, -1.0)),   # falls through 0 at 1.25
+    (0.25, (1.0, 0.5, 0.0, -0.5)),           # meets 0 at a grid knot
+    (2.0, (1.0, 1.0, 0.875, 0.5)),           # stays positive
 ])
-def test_potential_is_the_integral_of_its_derivative(values, crossings):
-    # Unprojected sigma: psi must still be the integral of psi'.
-    pot = ConcavePotential(HalfLineSpline(1.0, values), r=1.0)
-    breaks = np.sort(np.concatenate((np.arange(len(values)), crossings)))
-    for x in (0.5, 1.0, 2.5, 4.0):
-        pieces = np.concatenate(
-            ([0.0], breaks[(breaks > 0) & (breaks < x)], [x]))
-        ref = sum(quad(pot.derivative, a, b, epsabs=1e-14)[0]
-                  for a, b in zip(pieces[:-1], pieces[1:]))
-        assert pot(x) == pytest.approx(ref, abs=1e-12)
+def test_potential_tables_match_an_exact_construction(delta, values):
+    # Dyadic data: every table entry is exact in floating point.
+    pot = ConcavePotential(HalfLineSpline(delta, values), r=0.3)
+    tables = (pot._knots, pot._values, pot._integrals, pot._slopes)
+    for table, exact in zip(tables, exact_tables(delta, values)):
+        assert np.array_equal(table, [float(f) for f in exact])
+
+
+@pytest.mark.parametrize("values", [
+    (1.5, 0.5, 0.2),                                # starts above 1
+    (1.0, -0.5, 0.5, 0.5),                          # rises back through 0
+    (1.0, np.nan, 0.2),
+    (1.0, 0.5, -np.inf),
+    tuple(1e300 * np.array([1.5, 0.5, 0.2, 0.1])),  # starts far above 1
+], ids=["start-1.5", "rise", "nan", "-inf", "huge"])
+def test_potential_refuses_an_unprojected_sigma(values):
+    with pytest.raises(ValueError, match="non-increasing from 1"):
+        ConcavePotential(HalfLineSpline(1.0, values), r=1.0)
+
+
+def integral_of_derivative(pot, x, breaks):
+    """Quadrature of psi' over [0, x], split at the breakpoints below x."""
+    pieces = [0.0] + [b for b in breaks if 0.0 < b < x] + [x]
+    return sum(quad(pot.derivative, a, b, epsabs=1e-14)[0]
+               for a, b in zip(pieces[:-1], pieces[1:]))
 
 
 def test_potential_of_a_huge_sigma_builds_without_overflow():
-    # A sigma of 1e300 times a decreasing positive profile never falls to 1,
-    # so psi' = 1 and psi(x) = x; the crossing test must not overflow.
-    sigma = HalfLineSpline(1.0, 1e300 * np.array([1.5, 0.5, 0.2, 0.1]))
-    x = np.array([0.5, 2.0, 7.0])
+    # sigma falls through 0 at 1.5 and on to -1.5e300: psi' ramps from 1 to
+    # 0.5 on [0, 1] and to 0 on [1, 1.5], and stays 0 after.
+    d = np.array([1.0, 0.5, -0.5, -1e300, -1.5e300])
+    assert np.array_equal(project_nonincreasing(d), d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        pot = ConcavePotential(sigma, r=1.0)
-        values = pot(x)
-    assert np.array_equal(values, x)
-
-
-def test_potential_steps_where_huge_crossings_round_to_one_knot():
-    # sigma falls from 0.2e300 to -1e300 on [2, 3]: it crosses 1 and 0
-    # about 1e-300 apart, at one knot in floating point, where psi' must
-    # step from 1 to 0 rather than ramp down over the rest of the segment.
-    sigma = HalfLineSpline(1.0, 1e300 * np.array([1.5, 0.5, 0.2, -1.0]))
-    crossing = 2.0 + 0.2 / 1.2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        pot = ConcavePotential(sigma, r=1.0)
-        for x in (0.5, 2.0, 2.5, 4.0):
-            pieces = [0.0] + [b for b in (1.0, 2.0, crossing, 3.0) if b < x]
-            pieces.append(x)
-            ref = sum(quad(pot.derivative, a, b, epsabs=1e-14)[0]
-                      for a, b in zip(pieces[:-1], pieces[1:]))
+        pot = ConcavePotential(HalfLineSpline(1.0, d), r=1.0)
+        for x in (0.5, 1.25, 2.5, 5.0):
+            ref = integral_of_derivative(pot, x, (1.0, 1.5, 2.0, 3.0, 4.0))
             assert pot(x) == pytest.approx(ref, abs=1e-12)
-    assert pot(4.0) == pytest.approx(crossing, abs=1e-12)
+    assert pot(5.0) == 0.875
+
+
+def test_potential_steps_where_a_crossing_rounds_onto_a_knot():
+    # sigma falls from 0.5 to -1e300 on [1, 2]: it crosses 0 about 5e-301
+    # after 1, which rounds to 1, where psi' must step from 0.5 to 0 rather
+    # than ramp down over the rest of the segment.
+    sigma = HalfLineSpline(1.0, [1.0, 0.5, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pot = ConcavePotential(sigma, r=1.0)
+        for x in (0.5, 1.0, 1.5, 4.0):
+            ref = integral_of_derivative(pot, x, (1.0, 2.0))
+            assert pot(x) == pytest.approx(ref, abs=1e-12)
+    assert np.count_nonzero(pot._knots == 1.0) == 2
+    assert pot(4.0) == 0.75
 
 
 def test_potential_concavity():
