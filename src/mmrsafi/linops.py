@@ -8,15 +8,16 @@ project_positive_normalized put a stack of kernels in those forms.
 Stages with few nonzero taps per channel are applied directly as periodic
 stencils on the flattened (channels, h * w) images: each tap is one
 periodic shift, read as one or two contiguous blocks straight from the
-input, and the columns where a tap's column shift wraps are then redone
-through column views.  A channel whose first two taps are +-1, and not
-both -1, opens with their signed sum in one pass.  The steps are built once
-per direction and image shape.  Dense multi-channel stages go through FFT
-multipliers cached per image shape.  A bank's forward and adjoint write
-into a caller's out array when given one, which may share memory with the
-input and need not be contiguous.  Periodic banks are block-circulant, so
-their spectral norm is exact from one impulse response per input channel.
-A direct dense materialization is available for oracle-scale checks.
+input, and each column where a tap's column shift wraps is redone through
+column views right after the last tap that wraps in it.  A channel whose
+first two taps are +-1, and not both -1, opens with their signed sum in one
+pass.  The steps are built once per direction and image shape.  Dense
+multi-channel stages go through FFT multipliers cached per image shape.  A
+bank's forward and adjoint write into a caller's out array when given one,
+which may share memory with the input and need not be contiguous.
+Periodic banks are block-circulant, so their spectral norm is exact from
+one impulse response per input channel.  A direct dense materialization is
+available for oracle-scale checks.
 """
 
 from dataclasses import dataclass
@@ -166,16 +167,18 @@ def _check_out(out, shape):
 
 
 # Direct stencils cost one or two contiguous block operations per nonzero
-# tap, plus one or two column operations per tap and wrapped column, two
-# per block for a tap that is not +-1; FFT multipliers cost a few
-# transforms per channel.  Measured break-even (forward plus adjoint of one
-# grouped two-channel stage with Gaussian taps in a 5x5 kernel, one thread
-# of a 2-core Xeon, numpy 2.4): about 2 taps per input and output channel
-# at 8x8, 3.5 at 64x64 and 12 at 256x256.  The difference bank (1.3 taps
-# per channel, all +-1) runs 5.7x, 9.7x and 30x faster as a stencil at
-# those sizes; the 3x3 box bank (4.5) 4.2x and 1.5x slower at 8x8 and
-# 64x64, and 3.7x faster at 256x256.  The limit does not depend on the
-# image, and it keeps every shipped bank on stencils: stages with more
+# tap, plus, per wrapped column, one or two column operations per tap up to
+# the last that wraps there, two per block for a tap that is not +-1; FFT
+# multipliers cost a few transforms per channel.  Break-even, measured on
+# earlier stencils that read a wrap-padded copy (forward plus adjoint of
+# one grouped two-channel stage with Gaussian taps in a 5x5 kernel, one
+# thread of a 2-core Xeon, numpy 2.4): about 2 taps per input and output
+# channel at 8x8, 3.5 at 64x64 and 12 at 256x256.  With the present steps
+# (forward plus adjoint of one stage, same machine) the difference bank
+# (1.3 taps per channel, all +-1) runs 7.5x, 9.5x and 15x faster as a
+# stencil at those sizes; the 3x3 box bank (4.5) 3.3x and 1.5x slower at
+# 8x8 and 64x64, and 2.2x faster at 256x256.  The limit does not depend on
+# the image, and it keeps every shipped bank on stencils: stages with more
 # nonzero taps than this per channel run through FFTs.
 _STENCIL_MAX_TAPS_PER_CHANNEL = 8
 
@@ -249,51 +252,47 @@ def _stencil_steps(channel_taps, h, w):
     share them.
 
     A tap shifting by (dr, dc) is a periodic shift by dr * w + dc of the
-    flattened image, exact on every column j with 0 <= j + dc < w.  The
-    flat pass runs each term over the contiguous blocks of its shifts.  The
-    band pass then recomputes the columns where any tap of the channel
-    wraps, term by term, through column views whose rows wrap by dr.  So
-    every element sees the op sequence of the tap-by-tap sum.  Flat blocks
-    that only reach band columns are left out, unless they open elements
-    that a later flat block accumulates into.
+    flattened image, exact on every column j with 0 <= j + dc < w.  Each
+    term runs over the contiguous blocks of its shifts.  Right after the
+    last term whose taps wrap in column j, terms 0 to that one are redone
+    on column j through column views whose rows wrap by dr; the later terms
+    are exact there.  So every element sees the op sequence of the
+    tap-by-tap sum.  A flat block is left out when every column it reaches
+    is redone through its term; an opening block only when they are all
+    redone right after it, so that no later term accumulates into an
+    element not yet written.
     """
     n = h * w
     steps = []
     for c, taps in enumerate(channel_taps):
         terms = _terms(taps)
-        band = set()
-        for _, _, dc, _ in taps:
-            band.update(range(max(w - dc, 0), w) if dc > 0
-                        else range(min(-dc, w)))
+        last = {}                   # column -> last term that wraps in it
+        for k, (_, _, tt) in enumerate(terms):
+            for _, _, dc, _ in tt:
+                last.update(dict.fromkeys(range(max(w - dc, 0), w) if dc > 0
+                                          else range(min(-dc, w)), k))
 
-        def in_band(block):
-            return all(i % w in band for i in range(
-                block.start, min(block.stop, block.start + w)))
+        def step(term, target, *reads):
+            kind, arg, tt = term
+            return (kind, (c, target), *zip([t[0] for t in tt], reads),
+                    *(None,) * (2 - len(tt)), arg)
 
-        opening, adding = [], []
-        for k, (kind, arg, tt) in enumerate(terms):
-            srcs = [src for src, *_ in tt]
-            pad = (None,) * (2 - len(tt))
-            shifts = (dr * w + dc for _, dr, dc, _ in tt)
-            for target, *reads in _wrapped_blocks(n, *shifts):
-                step = (kind, (c, target), *zip(srcs, reads), *pad, arg)
-                (adding if k else opening).append((target, step))
-        adding = [(t, step) for t, step in adding if not in_band(t)]
-        steps += [step for t, step in opening if not in_band(t) or any(
-            t.start < u.stop and u.start < t.stop for u, _ in adding)]
-        steps += [step for _, step in adding]
-        # Column j of rows p:q is the flat slice p * w + j : q * w : w.
-        for kind, arg, tt in terms:
-            srcs = [src for src, *_ in tt]
-            pad = (None,) * (2 - len(tt))
-            for target, *rows in _wrapped_blocks(h, *(t[1] for t in tt)):
-                p, q = target.start * w, target.stop * w
-                reads = [(r.start * w, r.stop * w, dc)
-                         for (_, _, dc, _), r in zip(tt, rows)]
-                for j in band:
-                    steps.append((kind, (c, slice(p + j, q, w)), *zip(srcs, [
-                        slice(a + (j + dc) % w, b, w) for a, b, dc in reads]),
-                        *pad, arg))
+        for k, term in enumerate(terms):
+            for target, *reads in _wrapped_blocks(
+                    n, *(dr * w + dc for _, dr, dc, _ in term[2])):
+                lasts = {last.get(i % w, -1) for i in range(
+                    target.start, min(target.stop, target.start + w))}
+                if (lasts != {0}) if k == 0 else (min(lasts) < k):
+                    steps.append(step(term, target, *reads))
+            # Column j of rows p:q is the flat slice p * w + j : q * w : w;
+            # the target is column j and a tap reads column (j + dc) % w.
+            for j in [j for j, kj in last.items() if kj == k]:
+                for done in terms[:k + 1]:
+                    dcs = [0] + [t[2] for t in done[2]]
+                    for rows in _wrapped_blocks(h, *(t[1] for t in done[2])):
+                        steps.append(step(done, *[
+                            slice(r.start * w + (j + dc) % w, r.stop * w, w)
+                            for dc, r in zip(dcs, rows)]))
     return tuple(steps)
 
 

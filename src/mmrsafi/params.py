@@ -122,11 +122,17 @@ def model_from_archive(archive):
         if r.shape != d.shape[:1]:
             raise ArchiveError(f"'sigma.r' holds {r.size} values for the "
                                f"{d.shape[0]} rows of 'sigma.d'")
-        potentials = [
-            ConcavePotential(HalfLineSpline(delta, project_nonincreasing(d[c])),
-                             r=float(r[c]))
-            for c in range(d.shape[0])
-        ]
+        potentials = []
+        for c in range(d.shape[0]):
+            # Differences and sums of coefficients near the float limit
+            # overflow; such a row is refused.
+            with np.errstate(over="ignore"):
+                sigma = project_nonincreasing(d[c])
+            if not np.all(np.isfinite(sigma)):
+                raise ArchiveError(f"row {c} of 'sigma.d' overflows when "
+                                   f"projected to be non-increasing")
+            potentials.append(ConcavePotential(HalfLineSpline(delta, sigma),
+                                               r=float(r[c])))
         return MmrModel(W=W, B=B, potentials=potentials, lam=lam)
     if kind == _KIND_SAFI:
         W = _unpack_bank(archive, "W", project_zero_mean)

@@ -74,7 +74,12 @@ class ConstraintSet:
 
 
 class WeightedAnalysisOperator:
-    """L x = (weights_c * (W_c x))_c for an analysis bank W and mask weights."""
+    """L x = (weights_c * (W_c x))_c for an analysis bank W and mask weights.
+
+    The weights are read at construction and must not change after it:
+    norm_bound is cached from them, and a mask whose weights are all
+    exactly 1 applies the bank alone, as 1.0 * y is y bit for bit.
+    """
 
     def __init__(self, bank, weights):
         weights = np.asarray(weights, dtype=np.float64)
@@ -86,21 +91,24 @@ class WeightedAnalysisOperator:
             raise ValueError("mask weights must be nonnegative")
         self.bank = bank
         self.weights = weights
-        # Scratch shaped like the weights: adjoint forms weights * u here.
-        # Any caller may use it between calls; its contents are not kept.
+        self._unit = bool(np.all(weights == 1.0))
+        # Scratch shaped like the weights: a weighted adjoint forms
+        # weights * u here.  Any caller may use it between calls; its
+        # contents are not kept.
         self.workspace = np.empty_like(weights)
         self._norm_bound = None
 
     def forward(self, x, out=None):
         """L x; written into out (shaped like the weights) when given."""
         out = self.bank.forward(x, out=out)
-        return np.multiply(self.weights, out, out=out)
+        return out if self._unit else np.multiply(self.weights, out, out=out)
 
     def adjoint(self, u, out=None):
         """L^T u; written into out (shaped like an image) when given.  u may
         be the workspace."""
-        work = np.multiply(self.weights, u, out=self.workspace)
-        return self.bank.adjoint(work, out=out)
+        if not self._unit:
+            u = np.multiply(self.weights, u, out=self.workspace)
+        return self.bank.adjoint(u, out=out)
 
     def norm_bound(self):
         """Upper bound max|weights| * ||W||_2 >= ||L||_2, cached.

@@ -187,12 +187,20 @@ def one_nan(array):
     return array
 
 
+def overflowing_row(array):
+    """Finite values whose non-increasing projection overflows in row 1."""
+    array = array.copy()
+    array[1, :4] = 0.0, -1e308, 1e308, -1e308
+    return array
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("kind", lambda a: a[:0], "'kind' must hold one value"),
     ("W.s0", one_nan, "non-finite values in 'W.s0'"),
     ("W.s0", lambda a: 1e300 * a, "taps of 'W' are too large"),
     ("sigma.d", one_nan, "non-finite values in 'sigma.d'"),
     ("sigma.d", lambda a: a[0], "'sigma.d' must be 2-D"),
+    ("sigma.d", overflowing_row, "row 1 of 'sigma.d' overflows"),
     ("sigma.r", lambda a: a[:1], "'sigma.r' holds 1 values for the 2 rows"),
     ("B.groups", lambda a: a - 0.5, "'B.groups' must hold integers >= 1"),
     ("W.groups", lambda a: a - 1.0, "'W.groups' must hold integers >= 1"),

@@ -499,6 +499,23 @@ def test_out_may_share_memory_with_the_input(applier):
     assert np.array_equal(arg, ref)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (64, 64), (256, 256)],
+                         ids=["8x8", "64x64", "256x256"])
+def test_stencil_step_counts(shape):
+    # A column where taps wrap is redone once, right after the last term
+    # that wraps in it, through the terms up to that one; the terms after
+    # it are exact there.  test_stencil_matches_per_tap_sum guards the bits.
+    def counts(bank):
+        return [len(linops._stencil_steps(taps, *shape))
+                for taps in bank._appliers[0]._taps]
+
+    # Forward: one (-1, +1) pair per channel, the horizontal one redoing
+    # its last column.  Adjoint: the pair that wraps in column 0 runs as
+    # one flat block and is redone there; two terms follow, exact on it.
+    assert counts(difference_bank()) == [4, 5]
+    assert max(counts(box_bank(2, 3))) <= 82
+
+
 def test_stencil_allocates_less_than_an_image():
     # The taps read the input in place: no padded copy, no new output.
     bank = difference_bank()

@@ -232,9 +232,12 @@ def test_bad_gamma_rejected(gamma):
                          ConstraintSet.all_space(), TIGHT)
 
 
-def test_weighted_operator_out():
+@pytest.mark.parametrize("unit", [False, True], ids=["random", "ones"])
+def test_weighted_operator_out(unit):
     rng = Rng(21)
     L = weighted_difference(rng, (8, 8))
+    if unit:
+        L = WeightedAnalysisOperator(L.bank, np.ones_like(L.weights))
     x = rng.gaussian_array((8, 8))
     u = rng.gaussian_array((2, 8, 8))
     out = np.full((2, 8, 8), np.nan)
@@ -250,6 +253,60 @@ def test_weighted_operator_out():
     assert np.array_equal(L.adjoint(L.workspace), out)
     with pytest.raises(ValueError, match="out must be"):
         L.forward(x, out=np.empty((8, 8)))
+    # All-ones weights apply the bank alone: the adjoint forms no weighted
+    # copy of u in the workspace.
+    L.workspace.fill(np.nan)
+    L.adjoint(u)
+    assert np.all(np.isnan(L.workspace)) == unit
+
+
+class MultiplyingOperator:
+    """L = diag(weights) W applied with both weight multiplies whatever the
+    weights; the reference for WeightedAnalysisOperator's unit masks."""
+
+    def __init__(self, bank, weights):
+        self.bank, self.weights = bank, weights
+        self.workspace = np.empty_like(weights)
+
+    def forward(self, x, out=None):
+        out = self.bank.forward(x, out=out)
+        return np.multiply(self.weights, out, out=out)
+
+    def adjoint(self, u, out=None):
+        work = np.multiply(self.weights, u, out=self.workspace)
+        return self.bank.adjoint(work, out=out)
+
+    def norm_bound(self):
+        return (float(np.max(np.abs(self.weights)))
+                * self.bank.norm(self.weights.shape[1:]))
+
+
+@pytest.mark.parametrize("X", [ConstraintSet.all_space(),
+                               ConstraintSet.box(0.0, 1.0)],
+                         ids=["all_space", "box"])
+def test_unit_mask_solve_matches_multiplied_ones(X):
+    # 1.0 * y is y bit for bit, sign of zero included, so a unit-mask solve
+    # that skips the weight multiplies gives the solve that makes them:
+    # the same x, dual, iterations and restarts, cold and warm-started.
+    rng = Rng(23)
+    ones = np.ones((2, 16, 16))
+    cfg = ProxConfig(max_iters=3000, epsilon=1e-11)
+    z = rng.gaussian_array((16, 16))
+    z_next = z + 0.05 * rng.gaussian_array((16, 16))
+    solves = []
+    for L in (WeightedAnalysisOperator(difference_bank(), ones),
+              MultiplyingOperator(difference_bank(), ones)):
+        cold = prox_weighted_l1(z, L, 0.3, X, cfg)
+        warm = prox_weighted_l1(z_next, L, 0.3, X, cfg, warm_u=cold.dual)
+        solves.append((cold, warm))
+    for got, want in zip(*solves):
+        assert got.converged and want.converged
+        for a, b in ((got.x, want.x), (got.dual, want.dual)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert (got.iterations, got.restarts) == (want.iterations,
+                                                  want.restarts)
+    assert any(res.restarts for res in solves[0])
 
 
 def prox_arrays(res):
