@@ -5,6 +5,8 @@ The archive format is self-describing and dependency-free: the magic line
 "END", then the concatenated little-endian float64 payloads in header order.
 """
 
+import math
+
 import numpy as np
 
 ARCHIVE_MAGIC = b"MMRSAFI1\n"
@@ -78,7 +80,10 @@ def archive_read(path):
         end = data.find(b"\n", offset)
         if end < 0:
             raise ArchiveError("truncated header")
-        line = data[offset:end].decode("utf-8")
+        try:
+            line = data[offset:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveError("header line is not valid UTF-8") from exc
         offset = end + 1
         if line == "END":
             break
@@ -96,8 +101,9 @@ def archive_read(path):
         entries.append((name, shape))
     archive = ParamArchive()
     for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        # Python ints: a shape whose element count overflows int64 must read
+        # as a truncated payload, not wrap around.
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(data):
             raise ArchiveError(f"truncated payload for {name!r}")
         arr = np.frombuffer(data[offset:offset + nbytes], dtype="<f8")

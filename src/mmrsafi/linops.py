@@ -11,10 +11,15 @@ periodic shift, read as one or two contiguous blocks straight from the
 input, and each column where a tap's column shift wraps is redone through
 column views right after the last tap that wraps in it.  A channel whose
 first two taps are +-1, and not both -1, opens with their signed sum in one
-pass.  The steps are built once per direction and image shape.  Dense
-multi-channel stages go through FFT multipliers cached per image shape.  A
-bank's forward and adjoint write into a caller's out array when given one,
-which may share memory with the input and need not be contiguous.
+pass.  Dense multi-channel stages go through FFT multipliers, built once
+per image shape.  A bank builds a runner per direction and input shape at
+the first call of that shape, from each stage's stencil steps or FFT
+multipliers, after a check of the channel count.  Later calls of that
+shape look the runner up and check only what depends on the arrays passed:
+out's shape and dtype, whether it shares memory with the input, and
+whether it is C-contiguous or else has a flat view.  A bank's forward and
+adjoint write into a caller's out array when given one, which may share
+memory with the input and need not be contiguous.
 Periodic banks are block-circulant, so their spectral norm is exact from
 one impulse response per input channel.  A direct dense materialization is
 available for oracle-scale checks.
@@ -91,6 +96,7 @@ class FilterBank:
         self._appliers = tuple(_applier(st) for st in self.stages)
         self._c_in, self._c_out = own[0].c_in, own[-1].c_out
         self._norms = {}
+        self._runners = {}
 
     @property
     def in_channels(self):
@@ -103,37 +109,43 @@ class FilterBank:
     def forward(self, x, out=None):
         """W x, shaped (out_channels, h, w); written into out when given."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
-        if x.shape[0] != self._c_in:
-            raise ValueError(
-                f"expected {self._c_in} input channels, got {x.shape[0]}")
-        if out is not None:
-            _check_out(out, (self._c_out,) + x.shape[1:])
-        for app in self._appliers[:-1]:
-            x = app.forward(x)
-        return self._appliers[-1].forward(x, out)
+        return (self._runners.get((0, x.shape))
+                or self._runner(0, x.shape))(x, out)
 
     def adjoint(self, s, out=None):
         """W^T s, shaped (h, w) for one input channel and (in_channels, h, w)
         otherwise; written into out when given."""
         s = np.asarray(s, dtype=np.float64)
-        if s.ndim == 2:
-            s = s[None]
-        if s.shape[0] != self._c_out:
-            raise ValueError(
-                f"expected {self._c_out} channels, got {s.shape[0]}")
-        if out is not None:
-            shape = s.shape[1:]
-            _check_out(out, shape if self._c_in == 1
-                       else (self._c_in,) + shape)
-        for app in self._appliers[:0:-1]:
-            s = app.adjoint(s)
-        if out is None:
-            x = self._appliers[0].adjoint(s)
-            return x[0] if self._c_in == 1 else x
-        self._appliers[0].adjoint(s, out[None] if out.ndim == 2 else out)
-        return out
+        return (self._runners.get((1, s.shape))
+                or self._runner(1, s.shape))(s, out)
+
+    def _runner(self, direction, shape):
+        """The function (x, out) that applies the bank forward (direction 0)
+        or adjoint (1) to inputs x of this shape, (channels, h, w) or (h, w)
+        for one channel; built, once the channel count is checked, and
+        cached at the first call of the shape."""
+        order = -1 if direction else 1
+        c = (self._c_in, self._c_out)[direction]
+        if len(shape) not in (2, 3) or (
+                shape[0] if len(shape) == 3 else 1) != c:
+            raise ValueError(f"expected {c} channels, got an input of "
+                             f"shape {shape}")
+        h, w = shape[-2:]
+        # Each stage's result is (channels, h, w); a one-channel adjoint's
+        # is (h, w).
+        shapes = [((st.c_in if direction else st.c_out), h, w)
+                  for st in self.stages[::order]]
+        if direction and self._c_in == 1:
+            shapes[-1] = (h, w)
+        *inner, last = [app.runner(direction, res) for app, res in
+                        zip(self._appliers[::order], shapes)]
+
+        def chain(x, out):
+            for f in inner:
+                x = f(x, None)
+            return last(x, out)
+        run = self._runners[direction, shape] = chain if inner else last
+        return run
 
     def norm(self, shape):
         """Exact ||W||_2 on periodic images of this shape, cached per shape.
@@ -157,13 +169,6 @@ class FilterBank:
                   else np.linalg.norm(spec, 2, axis=(0, 1)))
             self._norms[shape] = float(sv.max())
         return self._norms[shape]
-
-
-def _check_out(out, shape):
-    """Raise unless out is a float64 array of exactly this shape."""
-    if out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, "
-                         f"got {out.dtype} {out.shape}")
 
 
 # Direct stencils cost one or two contiguous block operations per nonzero
@@ -204,7 +209,7 @@ def _wrapped_blocks(n, *shifts):
         for p, q in zip(cuts, cuts[1:]))
 
 
-# Kinds of stencil step, run by _run_steps.
+# Kinds of stencil step, run by _StencilStage.runner.
 _ZERO, _OPEN, _PAIR, _ADD, _ADD_SCALED = range(5)
 
 
@@ -248,8 +253,8 @@ def _terms(taps):
 def _stencil_steps(channel_taps, h, w):
     """The steps that apply each channel's taps to (c, h * w) flattened
     images, as (kind, target, source, second source, arg) tuples of
-    indices, run by _run_steps.  Cached, so that stages with the same taps
-    share them.
+    indices, run by _StencilStage.runner.  Cached, so that stages with the
+    same taps share them.
 
     A tap shifting by (dr, dc) is a periodic shift by dr * w + dc of the
     flattened image, exact on every column j with 0 <= j + dc < w.  Each
@@ -296,37 +301,22 @@ def _stencil_steps(channel_taps, h, w):
     return tuple(steps)
 
 
-def _run_steps(steps, x, out):
-    """Run stencil steps, reading flattened images x and writing out."""
-    tmp = None
-    for kind, target, a, b, arg in steps:
-        t = out[target]
-        if kind == _ADD:
-            arg(t, x[a], out=t)
-        elif kind == _PAIR:
-            arg(x[a], x[b], out=t)
-        elif kind == _ADD_SCALED:
-            s = x[a]
-            if tmp is None:
-                tmp = np.empty(out.shape[1])
-            # A contiguous scratch block: numpy buffers strided outputs.
-            np.add(t, np.multiply(s, arg, out=tmp[:s.size]), out=t)
-        elif kind == _OPEN:
-            np.multiply(x[a], arg, out=t)
-        else:
-            t.fill(0.0)
-
-
 def _flattens(a):
-    """Whether (c, h, w) array a reshapes to (c, h * w) as a view."""
-    _, h, w = a.shape
-    return h == 1 or w == 1 or a.strides[1] == a.strides[2] * w
+    """Whether a, shaped (c, h, w) or (h, w), reshapes to (c, h * w) as a
+    view."""
+    h, w = a.shape[-2:]
+    return h == 1 or w == 1 or a.strides[-2] == a.strides[-1] * w
+
+
+def _reject(out, shape):
+    """Raise for an out that is not a float64 array of this shape."""
+    raise ValueError(f"out must be a float64 array of shape {shape}, "
+                     f"got {out.dtype} {out.shape}")
 
 
 class _StencilStage:
     """A stage applied as a sum over its nonzero taps, each read as
-    periodic shifts of the flattened input with no padded copy; the steps
-    are built once per direction and image shape."""
+    periodic shifts of the flattened input with no padded copy."""
 
     def __init__(self, stage):
         c_out, c_in_pg, ks, _ = stage.kernels.shape
@@ -345,51 +335,67 @@ class _StencilStage:
             adjoint_taps[i].append((o, r - a, r - b, v))
         self._taps = (tuple(map(tuple, forward_taps)),
                       tuple(map(tuple, adjoint_taps)))
-        self._steps = {}
 
-    def forward(self, x, out=None):
-        return self._apply(0, x, out)
+    def runner(self, direction, shape):
+        """The function (x, out) that applies the stage forward (direction
+        0) or adjoint (1) to x, whose channels are the sources of the taps,
+        shaped (channels, h, w) or (h, w), into out of this shape; into a
+        new array when out is None.  out[c] = sum over channel c's taps of
+        weight * x[source] shifted periodically, so that element (i, j)
+        reads x[source, (i + dr) % h, (j + dc) % w]."""
+        taps = self._taps[direction]
+        c_in, c_out = len(self._taps[1 - direction]), len(taps)
+        h, w = shape[-2:]
+        n = h * w
+        steps = _stencil_steps(taps, h, w)
 
-    def adjoint(self, y, out=None):
-        return self._apply(1, y, out)
-
-    def _apply(self, direction, x, out):
-        """out[c] = sum over channel c's taps of weight * x[source] shifted
-        periodically, so that element (i, j) reads x[source, (i + dr) % h,
-        (j + dc) % w]; into a new array unless out is given."""
-        c, h, w = x.shape
-        key = (direction, h, w)
-        steps = self._steps.get(key)
-        if steps is None:
-            steps = self._steps[key] = _stencil_steps(self._taps[direction],
-                                                      h, w)
-        if out is None:
-            out = np.empty((len(self._taps[direction]), h, w))
-        elif np.may_share_memory(x, out):
-            x = x.copy()            # taps read x while out is written
-        x = x.reshape(c, h * w)     # a copy when x's strides allow no view
-        if _flattens(out):
-            _run_steps(steps, x, out.reshape(len(out), h * w))
-        else:
-            flat = np.empty((len(out), h * w))
-            _run_steps(steps, x, flat)
-            np.copyto(out, flat.reshape(out.shape))
-        return out
+        def run(x, out):
+            if out is None:
+                out = np.empty(shape)
+            elif out.shape != shape or out.dtype != np.float64:
+                _reject(out, shape)
+            elif np.may_share_memory(x, out):
+                x = x.copy()            # taps read x while out is written
+            x = x.reshape(c_in, n)      # a copy when x's strides allow no view
+            flat = out.flags.c_contiguous or _flattens(out)
+            y = out.reshape(c_out, n) if flat else np.empty((c_out, n))
+            tmp = None
+            for kind, target, a, b, arg in steps:
+                t = y[target]
+                if kind == _ADD:
+                    arg(t, x[a], out=t)
+                elif kind == _PAIR:
+                    arg(x[a], x[b], out=t)
+                elif kind == _ADD_SCALED:
+                    s = x[a]
+                    if tmp is None:
+                        tmp = np.empty(n)
+                    # A contiguous scratch block: numpy buffers strided
+                    # outputs.
+                    np.add(t, np.multiply(s, arg, out=tmp[:s.size]), out=t)
+                elif kind == _OPEN:
+                    np.multiply(x[a], arg, out=t)
+                else:
+                    t.fill(0.0)
+            if not flat:
+                np.copyto(out, y.reshape(shape))
+            return out
+        return run
 
 
 class _SpectralStage:
-    """A stage applied through rFFT multipliers cached per image shape."""
+    """A stage applied through rFFT multipliers, built once per image
+    shape and shared by the runners of both directions."""
 
     def __init__(self, stage):
         self.kernels = stage.kernels
         self.groups = stage.groups
         self._spectra = {}
 
-    def _spectrum(self, shape):
+    def _spectrum(self, h, w):
         """Multipliers of the center-anchored kernels embedded periodically,
         shaped (groups, c_out_pg, c_in_pg, h, w // 2 + 1)."""
-        if shape not in self._spectra:
-            h, w = shape
+        if (h, w) not in self._spectra:
             c_out, c_in_pg, ks, _ = self.kernels.shape
             r = ks // 2
             pad = np.zeros((c_out, c_in_pg, h, w))
@@ -400,32 +406,33 @@ class _SpectralStage:
                     # += so kernels wider than the image wrap correctly
                     pad[:, :, rows[a], cols[b]] += self.kernels[:, :, a, b]
             spec = np.fft.rfft2(pad)
-            self._spectra[shape] = spec.reshape(
+            self._spectra[h, w] = spec.reshape(
                 self.groups, c_out // self.groups, *spec.shape[1:])
-        return self._spectra[shape]
+        return self._spectra[h, w]
 
-    def forward(self, x, out=None):
-        # Periodic cross-correlation, hence the conjugate multiplier.
-        spec = self._spectrum(x.shape[1:])
-        xf = np.fft.rfft2(x).reshape(self.groups, -1, *spec.shape[3:])
-        yf = np.einsum("goihw,gihw->gohw", np.conj(spec), xf)
-        return _into(out, np.fft.irfft2(yf.reshape(-1, *yf.shape[2:]),
-                                        s=x.shape[1:]))
+    def runner(self, direction, shape):
+        """As _StencilStage.runner, through the stage's multipliers."""
+        h, w = shape[-2:]
+        spec = self._spectrum(h, w)
+        c_in = self.kernels.shape[0] if direction else (
+            self.kernels.shape[1] * self.groups)
+        path = "goihw,gohw->gihw" if direction else "goihw,gihw->gohw"
 
-    def adjoint(self, y, out=None):
-        spec = self._spectrum(y.shape[1:])
-        yf = np.fft.rfft2(y).reshape(self.groups, -1, *spec.shape[3:])
-        xf = np.einsum("goihw,gohw->gihw", spec, yf)
-        return _into(out, np.fft.irfft2(xf.reshape(-1, *xf.shape[2:]),
-                                        s=y.shape[1:]))
-
-
-def _into(out, value):
-    """value, copied into out when one is given."""
-    if out is None:
-        return value
-    np.copyto(out, value)
-    return out
+        def run(x, out):
+            if out is not None and (out.shape != shape
+                                    or out.dtype != np.float64):
+                _reject(out, shape)
+            xf = np.fft.rfft2(x.reshape(c_in, h, w))
+            # Periodic cross-correlation: the forward takes the conjugate
+            # multiplier.
+            yf = np.einsum(path, spec if direction else np.conj(spec),
+                           xf.reshape(self.groups, -1, *spec.shape[3:]))
+            y = np.fft.irfft2(yf.reshape(-1, *yf.shape[2:]), s=(h, w))
+            if out is None:
+                return y.reshape(shape)
+            np.copyto(out, y.reshape(shape))
+            return out
+        return run
 
 
 class MatrixOp:

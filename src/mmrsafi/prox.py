@@ -155,7 +155,7 @@ class ProxResult:
 def _project_into(X, r):
     """r <- Proj_X(r), in place."""
     if not X.is_all_space:
-        np.clip(r, X.lower, X.upper, out=r)
+        r.clip(X.lower, X.upper, out=r)
 
 
 def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
@@ -235,6 +235,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     channel = work.reshape(-1)[:u[0].size].reshape(u.shape[1:])
     step = L.workspace
     t, j, restarts, ratio = 1.0, 1, 0, np.nan
+    # Bound once: the loop makes some 15 numpy calls per iteration, and on
+    # small images their lookups weigh.
+    add, subtract, multiply, vdot = np.add, np.subtract, np.multiply, np.vdot
     # Pass k takes the ascent step of iteration k + 1 from v_k, which a
     # check pairs with u_k, and completes the iteration unless it stops.
     for k in range(cfg.max_iters + 1):
@@ -245,14 +248,13 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
             break
         # u_{k+1} = clip(v + s) for the step s = L(alpha * x^), in v's
         # buffer; alpha * x^ is formed in a_v's, which a_{k+1} takes next.
-        np.subtract(z, a_v, out=a_v)
+        subtract(z, a_v, out=a_v)
         _project_into(X, a_v)
         if check:
             np.copyto(x, a_v)
-        L.forward(np.multiply(a_v, alpha, out=a_v), out=step)
+        L.forward(multiply(a_v, alpha, out=a_v), out=step)
         if check:
-            penalty = sum(float(np.sum(np.abs(s, out=channel)))
-                          for s in step)
+            penalty = sum(float(np.abs(s, out=channel).sum()) for s in step)
             primal = (0.5 * _squared_distance(x, z, work)
                       + gamma * penalty / alpha)
             gap = primal - dual_value
@@ -261,14 +263,14 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
                 return ProxResult(x, u, k, True, ratio, restarts)
             if k == cfg.max_iters:
                 break
-        np.add(v, step, out=v)
-        u_next = np.clip(v, -gamma, gamma, out=v)
+        add(v, step, out=v)
+        u_next = v.clip(-gamma, gamma, out=v)
         # u_{k+1} - u_k in u's buffer, read against s before L^T overwrites
         # it.  A negative product means the momentum has carried u against
         # the ascent direction: beta = 0 then restarts it, v_{k+1} = u_{k+1},
         # with t and momentum_next's index j back at 1.
-        np.subtract(u_next, u, out=u)
-        if np.vdot(step, u) < 0.0:
+        subtract(u_next, u, out=u)
+        if vdot(step, u) < 0.0:
             t, j, beta = 1.0, 1, 0.0
             restarts += 1
         else:
@@ -276,12 +278,12 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
             t, j, beta = t_next, j + 1, (t - 1.0) / t_next
         # v_{k+1} in u's buffer, then a_{k+1} in a_v's and a_{v,k+1} in a's,
         # which first holds a_{k+1} - a_k.
-        np.multiply(u, beta, out=u)
-        np.add(u_next, u, out=u)
+        multiply(u, beta, out=u)
+        add(u_next, u, out=u)
         a_next = L.adjoint(u_next, out=a_v)
-        np.subtract(a_next, a, out=a)
-        np.multiply(a, beta, out=a)
-        np.add(a_next, a, out=a)
+        subtract(a_next, a, out=a)
+        multiply(a, beta, out=a)
+        add(a_next, a, out=a)
         u, v, a, a_v = u_next, u, a_next, a
     np.subtract(z, a, out=x)
     _project_into(X, x)

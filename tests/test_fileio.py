@@ -47,6 +47,22 @@ def test_archive_truncated_payload(tmp_path):
         archive_read(path)
 
 
+def test_archive_huge_shape_reads_as_truncated(tmp_path):
+    # 2**32 * 2**32 elements wrap to 0 in int64; counted exactly, the
+    # payload is far too short.
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"MMRSAFI1\nw 2 4294967296 4294967296\nEND\n")
+    with pytest.raises(ArchiveError, match="truncated payload for 'w'"):
+        archive_read(path)
+
+
+def test_archive_header_not_utf8(tmp_path):
+    path = tmp_path / "latin1.bin"
+    path.write_bytes(b"MMRSAFI1\n\xe9t\xe9 1 1\nEND\n" + bytes(8))
+    with pytest.raises(ArchiveError, match="not valid UTF-8"):
+        archive_read(path)
+
+
 def test_archive_duplicate_names():
     archive = ParamArchive()
     archive.add("x", np.ones(2))

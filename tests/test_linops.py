@@ -67,8 +67,10 @@ def assert_stencil_matches_per_tap_sum(bank, shape, rng):
         for stage, app in zip(bank.stages, bank._appliers):
             assert type(app) is _StencilStage
             y = draw((stage.c_out,) + shape)
-            assert_same_bits(app.forward(fwd), per_tap_stage(stage, fwd))
-            assert_same_bits(app.adjoint(y), per_tap_stage(stage, y, True))
+            forward = app.runner(0, (stage.c_out,) + shape)
+            adjoint = app.runner(1, (stage.c_in,) + shape)
+            assert_same_bits(forward(fwd, None), per_tap_stage(stage, fwd))
+            assert_same_bits(adjoint(y, None), per_tap_stage(stage, y, True))
             fwd = per_tap_stage(stage, fwd)
         for stage in reversed(bank.stages):
             adj = per_tap_stage(stage, adj, True)
@@ -472,6 +474,45 @@ def test_bad_out_rejected():
         bank.adjoint(s, out=np.empty((1, 8, 8)))
 
 
+@pytest.mark.parametrize("name", list(out_test_banks()))
+def test_cached_runner_still_checks_its_arrays(name):
+    # A shape's first call caches its runner; later calls of the shape must
+    # still refuse a bad input or out, and still handle an out that shares
+    # memory with the input or has no flat (channels, h * w) view.
+    bank, fresh = out_test_banks()[name], out_test_banks()[name]
+    rng = Rng(46)
+    shape = (8, 8)
+    x = rng.gaussian_array((bank.in_channels,) + shape)
+    s = rng.gaussian_array((bank.out_channels,) + shape)
+    cases = ((bank.forward, fresh.forward, x),
+             (bank.adjoint, fresh.adjoint, s))
+    for apply, _, arg in cases:
+        apply(arg)
+    assert len(bank._runners) == 2
+    for apply, _, arg in cases:
+        res = apply(arg).shape
+        with pytest.raises(ValueError, match="channels"):
+            apply(np.concatenate([arg, arg[:1]]))
+        for out in (np.empty(res[:-1] + (9,)),
+                    np.empty(res, dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                apply(arg, out=out)
+    assert len(bank._runners) == 2
+    for apply, apply_fresh, arg in cases:
+        ref = apply_fresh(arg)
+        # The input and out are views of one buffer.
+        buf = np.empty((max(arg.size, ref.size),))
+        view = buf[:arg.size].reshape(arg.shape)
+        view[...] = arg
+        out = buf[:ref.size].reshape(ref.shape)
+        assert apply(view, out=out) is out
+        assert_same_bits(out, ref)
+        out = np.empty(ref.shape[:-1] + (16,))[..., :8]
+        assert apply(arg, out=out) is out
+        assert_same_bits(out, ref)
+    assert len(bank._runners) == 2
+
+
 @pytest.mark.parametrize("applier", [_StencilStage, _SpectralStage],
                          ids=["stencil", "fft"])
 def test_out_may_share_memory_with_the_input(applier):
@@ -563,5 +604,4 @@ def test_stencil_steps_are_built_once_per_shape(monkeypatch):
             s = rng.gaussian_array((bank.out_channels,) + shape)
             assert_same_bits(bank.forward(x), fresh.forward(x))
             assert_same_bits(bank.adjoint(s), fresh.adjoint(s))
-    assert all(len(app._steps) == 4 for bank in used.values()
-               for app in bank._appliers)
+    assert all(len(bank._runners) == 4 for bank in used.values())

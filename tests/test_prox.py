@@ -487,6 +487,43 @@ def test_one_forward_and_one_adjoint_per_iteration():
     assert L.adjoint_calls == warm.iterations + 1
 
 
+@pytest.mark.parametrize("X", [ConstraintSet.all_space(),
+                               ConstraintSet.box(0.0, 1.0)],
+                         ids=["all_space", "box"])
+@pytest.mark.parametrize("unit", [False, True], ids=["weighted", "ones"])
+def test_every_bank_application_calls_the_bank_methods(monkeypatch, X, unit):
+    # Bank applications are counted by wrapping FilterBank.forward and
+    # adjoint on the class, as the benchmark's tracer does; the solve must
+    # make every application through them, at the counts of
+    # test_one_forward_and_one_adjoint_per_iteration.
+    calls = dict.fromkeys(("forward", "adjoint"), 0)
+
+    def counting(name, method):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(FilterBank, name,
+                            counting(name, getattr(FilterBank, name)))
+    rng = Rng(16)
+    z = rng.gaussian_array((8, 8))
+    weights = (np.ones((2, 8, 8)) if unit else rng.uniform_array((2, 8, 8)))
+    L = WeightedAnalysisOperator(difference_bank(), weights)
+    L.norm_bound()              # the bank's norm applies it once, cached
+    calls.update(forward=0, adjoint=0)
+    cold = prox_weighted_l1(z, L, 0.3, X, TIGHT)
+    assert cold.converged
+    assert calls == {"forward": cold.iterations + 2,
+                     "adjoint": cold.iterations + 1}
+    calls.update(forward=0, adjoint=0)
+    warm = prox_weighted_l1(z + 1e-3, L, 0.3, X, TIGHT, warm_u=cold.dual)
+    assert warm.converged and warm.iterations > 0
+    assert calls == {"forward": warm.iterations + 1,
+                     "adjoint": warm.iterations + 1}
+
+
 def test_matches_two_adjoint_iteration():
     rng = Rng(15)
     bank = difference_bank()
