@@ -17,9 +17,18 @@ the first call of that shape, from each stage's stencil steps or FFT
 multipliers, after a check of the channel count.  Later calls of that
 shape look the runner up and check only what depends on the arrays passed:
 out's shape and dtype, whether it shares memory with the input, and
-whether it is C-contiguous or else has a flat view.  A bank's forward and
-adjoint write into a caller's out array when given one, which may share
-memory with the input and need not be contiguous.
+whether it is C-contiguous or else has a flat view.  A stencil stage then
+turns the call into a plan, its steps as a flat list of ufunc calls on
+views of the input and out, and runs it.  On images of at most 64 x 64
+pixels it keeps the last two plans whose out was passed, C-contiguous and
+writeable, apart from a C-contiguous input: the dual prox calls the bank
+on the same few buffers each iteration.  A call with the same input and
+out objects as a kept plan replays it, after checking only that out's
+shape and dtype still hold and that it is still writeable.  A plan holds
+its arrays, so their identities are not reused, until the bank's release
+drops it or later calls replace it.  A bank's forward and adjoint write
+into a caller's out array when given one, which may share memory with the
+input and need not be contiguous.
 Periodic banks are block-circulant, so their spectral norm is exact from
 one impulse response per input channel.  A direct dense materialization is
 available for oracle-scale checks.
@@ -97,6 +106,7 @@ class FilterBank:
         self._c_in, self._c_out = own[0].c_in, own[-1].c_out
         self._norms = {}
         self._runners = {}
+        self._plans = []            # the stencil runners' kept plans
 
     @property
     def in_channels(self):
@@ -137,8 +147,9 @@ class FilterBank:
                   for st in self.stages[::order]]
         if direction and self._c_in == 1:
             shapes[-1] = (h, w)
-        *inner, last = [app.runner(direction, res) for app, res in
-                        zip(self._appliers[::order], shapes)]
+        *inner, last = runners = [app.runner(direction, res) for app, res in
+                                  zip(self._appliers[::order], shapes)]
+        self._plans += [r.plans for r in runners if hasattr(r, "plans")]
 
         def chain(x, out):
             for f in inner:
@@ -146,6 +157,14 @@ class FilterBank:
             return last(x, out)
         run = self._runners[direction, shape] = chain if inner else last
         return run
+
+    def release(self):
+        """Drop the plans kept for earlier calls, and with them the arrays
+        they hold.  A caller done with the buffers it passed calls this, so
+        that they are freed then rather than when later calls replace
+        their plans."""
+        for plans in self._plans:
+            plans.clear()
 
     def norm(self, shape):
         """Exact ||W||_2 on periodic images of this shape, cached per shape.
@@ -314,6 +333,40 @@ def _reject(out, shape):
                      f"got {out.dtype} {out.shape}")
 
 
+# A plan holds its x and out.  A difference-bank call on one thread of a
+# 2-core Xeon (numpy 2.4) costs about 18 us at 64x64, of which a replay
+# skips 7; at 256x256 it costs 110-135 us, of which a replay would skip
+# under 5%, while a forward pair held would take 1.5 MB.
+_PLAN_MAX_PIXELS = 64 * 64
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _ufunc_calls(steps, x, y, n):
+    """The steps, run on flat views x of the input and y of the output, as
+    (ufunc or method, args) calls; the ufuncs take their out positionally."""
+    calls = []
+    tmp = None
+    for kind, target, a, b, arg in steps:
+        t = y[target]
+        if kind == _ADD:
+            calls.append((arg, (t, x[a], t)))
+        elif kind == _PAIR:
+            calls.append((arg, (x[a], x[b], t)))
+        elif kind == _ADD_SCALED:
+            s = x[a]
+            if tmp is None:
+                tmp = np.empty(n)
+            # A contiguous scratch block: numpy buffers strided outputs.
+            scaled = tmp[:s.size]
+            calls += [(np.multiply, (s, arg, scaled)),
+                      (np.add, (t, scaled, t))]
+        elif kind == _OPEN:
+            calls.append((np.multiply, (x[a], arg, t)))
+        else:
+            calls.append((t.fill, (0.0,)))
+    return calls
+
+
 class _StencilStage:
     """A stage applied as a sum over its nonzero taps, each read as
     periodic shifts of the flattened input with no padded copy."""
@@ -342,44 +395,57 @@ class _StencilStage:
         shaped (channels, h, w) or (h, w), into out of this shape; into a
         new array when out is None.  out[c] = sum over channel c's taps of
         weight * x[source] shifted periodically, so that element (i, j)
-        reads x[source, (i + dr) % h, (j + dc) % w]."""
+        reads x[source, (i + dr) % h, (j + dc) % w].
+
+        Each call runs a plan: the steps as a list of ufunc calls on views
+        of its x and out.  A call whose x and out are the objects of a kept
+        plan replays it, once out's shape and dtype still hold and out is
+        still writeable.  The last two plans are kept, on images of at most
+        _PLAN_MAX_PIXELS, when out was passed, is writeable and C-contiguous
+        and shares no memory with x, and x is C-contiguous.  A plan holds
+        its arrays, so their identities cannot be reused; their strides are
+        not rechecked (setting strides in place is deprecated in numpy
+        2.4).  The function's plans attribute lists the kept plans as
+        (x, out, calls), the latest last."""
         taps = self._taps[direction]
         c_in, c_out = len(self._taps[1 - direction]), len(taps)
         h, w = shape[-2:]
         n = h * w
         steps = _stencil_steps(taps, h, w)
+        keeps = n <= _PLAN_MAX_PIXELS
+        plans = []
 
         def run(x, out):
+            for px, pout, calls in plans:
+                if (px is x and pout is out and out.shape == shape
+                        and out.dtype == _FLOAT64 and out.flags.writeable):
+                    break
+            else:
+                out, calls = plan(x, out)
+            for f, args in calls:
+                f(*args)
+            return out
+
+        def plan(x, out):
+            keep = keeps and out is not None
             if out is None:
                 out = np.empty(shape)
-            elif out.shape != shape or out.dtype != np.float64:
+            elif out.shape != shape or out.dtype != _FLOAT64:
                 _reject(out, shape)
             elif np.may_share_memory(x, out):
-                x = x.copy()            # taps read x while out is written
-            x = x.reshape(c_in, n)      # a copy when x's strides allow no view
-            flat = out.flags.c_contiguous or _flattens(out)
+                x, keep = x.copy(), False   # taps read x while out is written
+            contiguous = out.flags.c_contiguous
+            flat = contiguous or _flattens(out)
             y = out.reshape(c_out, n) if flat else np.empty((c_out, n))
-            tmp = None
-            for kind, target, a, b, arg in steps:
-                t = y[target]
-                if kind == _ADD:
-                    arg(t, x[a], out=t)
-                elif kind == _PAIR:
-                    arg(x[a], x[b], out=t)
-                elif kind == _ADD_SCALED:
-                    s = x[a]
-                    if tmp is None:
-                        tmp = np.empty(n)
-                    # A contiguous scratch block: numpy buffers strided
-                    # outputs.
-                    np.add(t, np.multiply(s, arg, out=tmp[:s.size]), out=t)
-                elif kind == _OPEN:
-                    np.multiply(x[a], arg, out=t)
-                else:
-                    t.fill(0.0)
+            # x.reshape copies when x's strides allow no view.
+            calls = _ufunc_calls(steps, x.reshape(c_in, n), y, n)
             if not flat:
-                np.copyto(out, y.reshape(shape))
-            return out
+                calls.append((np.copyto, (out, y.reshape(shape))))
+            if (keep and contiguous and x.flags.c_contiguous
+                    and out.flags.writeable):
+                plans[:] = plans[-1:] + [(x, out, calls)]
+            return out, calls
+        run.plans = plans
         return run
 
 

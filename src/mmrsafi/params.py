@@ -79,6 +79,14 @@ def _log_norm_bound(bank):
     return total
 
 
+def _positive_scalar(archive, name):
+    value = archive.scalar(name)
+    if not 0.0 < value < math.inf:
+        raise ArchiveError(f"{name!r} must be finite and positive, got "
+                           f"{value}")
+    return value
+
+
 def mmr_to_archive(model):
     archive = ParamArchive()
     archive.add("kind", np.array(_KIND_MMR))
@@ -111,10 +119,13 @@ def model_from_archive(archive):
     and the potentials' sigma splines."""
     kind = archive.scalar("kind")
     lam = archive.scalar("lambda")
+    if not 0.0 <= lam < math.inf:
+        raise ArchiveError(f"'lambda' must be finite and nonnegative, got "
+                           f"{lam}")
     if kind == _KIND_MMR:
         W = _unpack_bank(archive, "W", project_zero_mean)
         B = _unpack_bank(archive, "B", project_positive_normalized)
-        delta = archive.scalar("sigma.delta")
+        delta = _positive_scalar(archive, "sigma.delta")
         d = archive.get("sigma.d")
         r = archive.get("sigma.r")
         if d.ndim != 2:
@@ -122,6 +133,9 @@ def model_from_archive(archive):
         if r.shape != d.shape[:1]:
             raise ArchiveError(f"'sigma.r' holds {r.size} values for the "
                                f"{d.shape[0]} rows of 'sigma.d'")
+        if not np.all((r > 0.0) & (r < math.inf)):
+            raise ArchiveError(f"'sigma.r' must hold finite positive values, "
+                               f"got {r.tolist()}")
         potentials = []
         for c in range(d.shape[0]):
             # Differences and sums of coefficients near the float limit
@@ -139,7 +153,7 @@ def model_from_archive(archive):
         Wt = _unpack_bank(archive, "Wt", project_zero_mean)
         Bt = _unpack_bank(archive, "Bt")
         Bh = _unpack_bank(archive, "Bh")
-        delta = archive.scalar("phi.delta")
+        delta = _positive_scalar(archive, "phi.delta")
         phi1 = [LinearSpline(delta, row) for row in archive.get("phi1.d")]
         phi2 = [LinearSpline(delta, row) for row in archive.get("phi2.d")]
         phi3 = [SigmoidSpline(LinearSpline(delta, row))

@@ -21,14 +21,18 @@ class LinearSpline:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or values.size < 3 or values.size % 2 == 0:
             raise ValueError("need an odd number (>= 3) of grid values")
-        if not delta > 0:
-            raise ValueError("delta must be positive")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
+        if not 0.0 < delta < np.inf:
+            raise ValueError("delta must be finite and positive")
         self.delta = float(delta)
         self.values = values
         self.half_count = (values.size - 1) // 2
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if np.isnan(x).any():
+            raise ValueError("linear spline evaluated at NaN input")
         d = self.values
         m = self.half_count
         # Fractional grid coordinate; clamping the segment index realizes the
@@ -52,8 +56,8 @@ class HalfLineSpline:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or values.size < 2:
             raise ValueError("need at least two grid values")
-        if not delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < delta < np.inf:
+            raise ValueError("delta must be finite and positive")
         self.delta = float(delta)
         self.values = values
 
@@ -99,8 +103,8 @@ class ConcavePotential:
     """
 
     def __init__(self, sigma, r):
-        if not r > 0:
-            raise ValueError("scaling r must be positive")
+        if not 0.0 < r < np.inf:
+            raise ValueError("scaling r must be finite and positive")
         d = sigma.values
         if not (np.all(np.isfinite(d)) and d[0] == 1.0
                 and np.all(d[1:] <= d[:-1])):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,29 @@ def test_safi_model_roundtrip(tmp_path):
     assert again.lam == 0.2
     x = Rng(2).gaussian_array((8, 8))
     assert np.max(np.abs(mask_safi(model, x) - mask_safi(again, x))) < 1e-14
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("lambda", -0.1, "'lambda' must be finite and nonnegative, got -0.1"),
+    ("sigma.delta", 0.0, "'sigma.delta' must be finite and positive, got 0.0"),
+    ("sigma.delta", -0.05, "'sigma.delta' must be finite and positive"),
+    ("sigma.r", [1.0, 0.0], "'sigma.r' must hold finite positive values, "
+                            "got [1.0, 0.0]"),
+    ("sigma.r", [-1.0, 1.0], "'sigma.r' must hold finite positive values"),
+    ("phi.delta", 0.0, "'phi.delta' must be finite and positive, got 0.0"),
+    ("phi.delta", -1.0, "'phi.delta' must be finite and positive")])
+def test_model_refuses_bad_scalars_at_load(tmp_path, name, value, message):
+    # Each is refused when the archive loads, as an ArchiveError naming the
+    # entry: not at the first solve, nor from inside a spline.
+    model = default_safi_model() if name == "phi.delta" else default_tv_model()
+    source = (safi_to_archive if name == "phi.delta" else mmr_to_archive)(model)
+    archive = ParamArchive()
+    for key in source.names():
+        archive.add(key, np.array(value) if key == name else source.get(key))
+    path = tmp_path / "bad.bin"
+    archive_write(path, archive)
+    with pytest.raises(ArchiveError, match=re.escape(message)):
+        model_from_archive(archive_read(path))
 
 
 def test_load_time_norm_bound_holds():

@@ -605,3 +605,157 @@ def test_stencil_steps_are_built_once_per_shape(monkeypatch):
             assert_same_bits(bank.forward(x), fresh.forward(x))
             assert_same_bits(bank.adjoint(s), fresh.adjoint(s))
     assert all(len(bank._runners) == 4 for bank in used.values())
+
+
+def stencil_plans(bank, direction, shape):
+    """The plans kept by a one-stage stencil bank's runner for inputs of
+    this shape."""
+    (app,) = bank._appliers
+    assert type(app) is _StencilStage
+    return bank._runners[direction, shape].plans
+
+
+def test_plan_replay_reads_the_input_as_it_is_now():
+    # The prox calls the bank on the same buffers with new contents each
+    # iteration: a replay gives the bits of a fresh bank, and keeps its plan.
+    rng = Rng(48)
+    for name, bank in stencil_test_banks().items():
+        fresh = stencil_test_banks()[name]
+        x = np.empty((bank.in_channels, 8, 8))
+        s = np.empty((bank.out_channels, 8, 8))
+        fwd = np.empty_like(s)
+        adj = np.empty(x.shape[1:] if bank.in_channels == 1 else x.shape)
+        first_calls = {}
+        for draw in range(3):
+            x[...] = np.round(rng.gaussian_array(x.shape), draw)
+            s[...] = np.round(rng.gaussian_array(s.shape), draw)
+            assert bank.forward(x, out=fwd) is fwd
+            assert bank.adjoint(s, out=adj) is adj
+            assert_same_bits(fwd, fresh.forward(x))
+            assert_same_bits(adj, fresh.adjoint(s))
+            if len(bank.stages) == 1:
+                for direction, arg, out in ((0, x, fwd), (1, s, adj)):
+                    (plan,) = stencil_plans(bank, direction, arg.shape)
+                    assert plan[0] is arg and plan[1] is out
+                    assert plan[2] is first_calls.setdefault(direction,
+                                                             plan[2])
+
+
+def read_only_like(a):
+    a = np.empty_like(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("name", ["difference", "box", "pairs", "two-stage"])
+def test_plan_replay_rechecks_out(name):
+    # A new out object gets the bits of a fresh bank; an out made read-only,
+    # or reshaped in place, gets the error a fresh bank gives, and works
+    # again once restored.
+    bank, fresh = stencil_test_banks()[name], stencil_test_banks()[name]
+    x = Rng(49).gaussian_array((bank.in_channels, 8, 8))
+    ref = fresh.forward(x)
+    out, other = np.empty_like(ref), np.empty_like(ref)
+    bank.forward(x, out=out)
+    assert bank.forward(x, out=other) is other
+    assert_same_bits(other, ref)
+    with pytest.raises(ValueError, match="read-only") as want:
+        fresh.forward(x, out=read_only_like(ref))
+    for target in (out, other):
+        target.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only") as got:
+            bank.forward(x, out=target)
+        assert str(got.value) == str(want.value)
+        target.flags.writeable = True
+        target[...] = np.nan
+        assert bank.forward(x, out=target) is target
+        assert_same_bits(target, ref)
+    out.shape = (ref.shape[0], 4, 16)
+    with pytest.raises(ValueError, match="out must be"):
+        bank.forward(x, out=out)
+    out.shape = ref.shape
+    out[...] = np.nan
+    assert bank.forward(x, out=out) is out
+    assert_same_bits(out, ref)
+
+
+@pytest.mark.parametrize("name", ["difference", "box", "pairs"])
+def test_arrays_that_alias_or_do_not_flatten_keep_no_plan(name):
+    # Each case takes the checked path on every call: the input copied
+    # where it shares memory with out, out filled from a new array where it
+    # has no flat view.  Repeated, each gives the bits of a fresh bank.
+    bank, fresh = stencil_test_banks()[name], stencil_test_banks()[name]
+    rng = Rng(50)
+    c_in, c_out = bank.in_channels, bank.out_channels
+    x = rng.gaussian_array((c_in, 8, 8))
+    size = 64 * max(c_in, c_out)
+    buf = np.empty(2 * size)
+    shared = buf[:x.size].reshape(x.shape)
+    overlap = buf[x.size // 2:][:64 * c_out].reshape(c_out, 8, 8)
+    cases = [(shared, overlap),
+             (shared, buf[:64 * c_out].reshape(c_out, 8, 8)),
+             (x[:, :, ::-1], np.empty((c_out, 8, 8))),
+             (np.asfortranarray(x), np.empty((c_out, 8, 8))),
+             (x, np.empty((c_out, 8, 16))[..., :8]),
+             (x, np.empty((c_out, 9, 8))[:, :8])]
+    for arg, out in cases:
+        for _ in range(3):
+            if arg is shared:
+                shared[...] = x
+            ref = fresh.forward(arg)
+            assert bank.forward(arg, out=out) is out
+            assert_same_bits(out, ref)
+        assert stencil_plans(bank, 0, x.shape) == []
+
+
+def test_a_runner_keeps_two_plans_and_none_for_large_images():
+    bank = difference_bank()
+    rng = Rng(51)
+    for shape, kept in (((8, 8), 2), ((64, 64), 2), ((64, 65), 0),
+                        ((256, 256), 0)):
+        x = rng.gaussian_array(shape)
+        outs = [np.empty((2,) + shape) for _ in range(3)]
+        calls = outs + outs
+        for i, out in enumerate(calls):
+            bank.forward(x, out=out)
+            # The latest two outs, the oldest first.
+            expect = calls[max(i + 1 - kept, 0):i + 1] if kept else []
+            assert [id(p[1]) for p in stencil_plans(bank, 0, shape)] == [
+                id(o) for o in expect]
+        bank.forward(x)
+        assert len(stencil_plans(bank, 0, shape)) == kept
+
+
+def test_multi_stage_banks_on_their_own_buffers_match_fresh_banks():
+    rng = Rng(52)
+    banks = {"stencil-two-stage": stencil_test_banks()["two-stage"],
+             "mixed-two-stage": out_test_banks()["two-stage"]}
+    for name, bank in banks.items():
+        fresh = {"stencil-two-stage": stencil_test_banks,
+                 "mixed-two-stage": out_test_banks}[name]()["two-stage"]
+        for shape in ((8, 8), (5, 9), (64, 64)):
+            x = np.empty((bank.in_channels,) + shape)
+            s = np.empty((bank.out_channels,) + shape)
+            fwd, adj = np.empty_like(s), np.empty(shape)
+            for _ in range(3):
+                x[...] = rng.gaussian_array(x.shape)
+                s[...] = rng.gaussian_array(s.shape)
+                bank.forward(x, out=fwd)
+                bank.adjoint(s, out=adj)
+                assert_same_bits(fwd, fresh.forward(x))
+                assert_same_bits(adj, fresh.adjoint(s))
+
+
+def test_release_drops_every_kept_plan():
+    bank, fresh = stencil_test_banks()["signs"], stencil_test_banks()["signs"]
+    x = Rng(54).gaussian_array((8, 8))
+    s = bank.forward(x)
+    fwd, adj = np.empty_like(s), np.empty_like(x)
+    for _ in range(2):
+        bank.forward(x, out=fwd)
+        bank.adjoint(s, out=adj)
+        assert [len(plans) for plans in bank._plans] == [1, 1]
+        bank.release()
+        assert [len(plans) for plans in bank._plans] == [0, 0]
+        assert_same_bits(fwd, fresh.forward(x))
+        assert_same_bits(adj, fresh.adjoint(s))

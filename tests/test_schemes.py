@@ -432,3 +432,26 @@ def test_outer_loop_stops_at_a_fixed_point_at_zero():
                        SolverConfig(k_out=5))
     assert trace.residuals == [0.0]
     assert not np.any(x)
+
+
+@pytest.mark.parametrize("run, make", [(run_cvx, default_tv_model),
+                                       (run_mmr, default_tv_model),
+                                       (run_safi, default_safi_model)],
+                         ids=["cvx", "mmr", "safi"])
+def test_schemes_release_the_plans_of_their_solves(monkeypatch, run, make):
+    # The analysis bank keeps plans that hold the buffers of the prox solve
+    # that made them; each scheme step releases them after its solve.
+    model = make()
+    kept = []
+
+    def solve(*args, **kwargs):
+        res = real(*args, **kwargs)
+        kept.append(sum(map(len, model.W._plans)))
+        return res
+
+    real = schemes.fbs_solve
+    monkeypatch.setattr(schemes, "fbs_solve", solve)
+    y = Rng(53).gaussian_array((8, 8))
+    run(model, IdentityOp(), y, SolverConfig(k_out=3))
+    assert kept and min(kept) > 0
+    assert sum(map(len, model.W._plans)) == 0

@@ -103,6 +103,42 @@ def test_negative_input_rejected():
                 fn(x)
 
 
+def test_linear_spline_rejects_nan_input():
+    # The grid coordinate of NaN has no segment; without the check its
+    # int64 cast indexes the grid at -2**63.
+    s = LinearSpline(0.5, [0.0, 1.0, 0.25])
+    for x in (np.nan, np.array([0.5, np.nan]), np.full((2, 2), np.nan)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="NaN input"):
+                s(x)
+            with pytest.raises(ValueError, match="NaN input"):
+                SigmoidSpline(s)(x)
+    assert s(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("delta", [np.inf, np.nan, 0.0, -1.0])
+def test_splines_refuse_a_bad_delta(delta):
+    for spline, values in ((LinearSpline, [0.0, 1.0, 0.25]),
+                           (HalfLineSpline, [1.0, 0.5])):
+        with pytest.raises(ValueError, match="delta must be finite and "
+                                             "positive"):
+            spline(delta, values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_spline_refuses_nonfinite_values(bad):
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        LinearSpline(0.5, [0.0, bad, 0.25])
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan, 0.0, -1.0])
+def test_potential_refuses_a_bad_scaling(r):
+    with pytest.raises(ValueError, match="scaling r must be finite and "
+                                         "positive"):
+        ConcavePotential(HalfLineSpline(0.1, np.ones(5)), r=r)
+
+
 def test_potential_matches_quadrature():
     rng = Rng(21)
     for _ in range(10):
