@@ -131,6 +131,9 @@ def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
         np.subtract(z, h_adj_y, out=z)
         np.multiply(z, alpha, out=z)
         np.subtract(x_tilde, z, out=z)
+        if identity:
+            # Read in this one step only: freed before the prox runs.
+            h_adj_y = None
         if lam > 0.0:
             if cfg.eps_prox is not None:
                 eps_prox = cfg.eps_prox

@@ -19,12 +19,14 @@ shape look the runner up and check only what depends on the arrays passed:
 out's shape and dtype, whether it shares memory with the input, and
 whether it is C-contiguous or else has a flat view.  A stencil stage then
 turns the call into a plan, its steps as a flat list of ufunc calls on
-views of the input and out, and runs it.  On images of at most 64 x 64
-pixels it keeps the last two plans whose out was passed, C-contiguous and
-writeable, apart from a C-contiguous input: the dual prox calls the bank
-on the same few buffers each iteration.  A call with the same input and
-out objects as a kept plan replays it, after checking only that out's
-shape and dtype still hold and that it is still writeable.  A plan holds
+views of the input and out, and runs it.  In a one-stage bank, on images
+of at most 64 x 64 pixels, it keeps the last two plans whose out was
+passed, C-contiguous and writeable, apart from a C-contiguous input: the
+dual prox calls the bank on the same few buffers each iteration.  The
+stages of a longer bank keep none, as each call hands them new
+intermediate arrays.  A call with the same input and out objects as a
+kept plan replays it, after checking only that out's shape and dtype
+still hold and that it is still writeable.  A plan holds
 its arrays, so their identities are not reused, until the bank's release
 drops it or later calls replace it.  A bank's forward and adjoint write
 into a caller's out array when given one, which may share memory with the
@@ -147,7 +149,12 @@ class FilterBank:
                   for st in self.stages[::order]]
         if direction and self._c_in == 1:
             shapes[-1] = (h, w)
-        *inner, last = runners = [app.runner(direction, res) for app, res in
+        # In a chain the stages before the last get no out, and the last
+        # reads an array the chain made for this call alone: no stage could
+        # replay a plan, so none keeps one.
+        keeps = len(self.stages) == 1
+        *inner, last = runners = [app.runner(direction, res, keeps)
+                                  for app, res in
                                   zip(self._appliers[::order], shapes)]
         self._plans += [r.plans for r in runners if hasattr(r, "plans")]
 
@@ -389,7 +396,7 @@ class _StencilStage:
         self._taps = (tuple(map(tuple, forward_taps)),
                       tuple(map(tuple, adjoint_taps)))
 
-    def runner(self, direction, shape):
+    def runner(self, direction, shape, keeps=True):
         """The function (x, out) that applies the stage forward (direction
         0) or adjoint (1) to x, whose channels are the sources of the taps,
         shaped (channels, h, w) or (h, w), into out of this shape; into a
@@ -400,19 +407,19 @@ class _StencilStage:
         Each call runs a plan: the steps as a list of ufunc calls on views
         of its x and out.  A call whose x and out are the objects of a kept
         plan replays it, once out's shape and dtype still hold and out is
-        still writeable.  The last two plans are kept, on images of at most
-        _PLAN_MAX_PIXELS, when out was passed, is writeable and C-contiguous
-        and shares no memory with x, and x is C-contiguous.  A plan holds
-        its arrays, so their identities cannot be reused; their strides are
-        not rechecked (setting strides in place is deprecated in numpy
-        2.4).  The function's plans attribute lists the kept plans as
-        (x, out, calls), the latest last."""
+        still writeable.  When keeps is true, the last two plans are kept,
+        on images of at most _PLAN_MAX_PIXELS, when out was passed, is
+        writeable and C-contiguous and shares no memory with x, and x is
+        C-contiguous.  A plan holds its arrays, so their identities cannot
+        be reused; their strides are not rechecked (setting strides in place
+        is deprecated in numpy 2.4).  The function's plans attribute lists
+        the kept plans as (x, out, calls), the latest last."""
         taps = self._taps[direction]
         c_in, c_out = len(self._taps[1 - direction]), len(taps)
         h, w = shape[-2:]
         n = h * w
         steps = _stencil_steps(taps, h, w)
-        keeps = n <= _PLAN_MAX_PIXELS
+        keeps = keeps and n <= _PLAN_MAX_PIXELS
         plans = []
 
         def run(x, out):
@@ -476,8 +483,9 @@ class _SpectralStage:
                 self.groups, c_out // self.groups, *spec.shape[1:])
         return self._spectra[h, w]
 
-    def runner(self, direction, shape):
-        """As _StencilStage.runner, through the stage's multipliers."""
+    def runner(self, direction, shape, keeps=True):
+        """As _StencilStage.runner, through the stage's multipliers; it
+        keeps no plans, so keeps is not read."""
         h, w = shape[-2:]
         spec = self._spectrum(h, w)
         c_in = self.kernels.shape[0] if direction else (

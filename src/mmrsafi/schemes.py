@@ -205,11 +205,6 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
             mask = mask_fn(model, x)
         L = WeightedAnalysisOperator(model.W, mask)
         res = fbs_solve(H, y, L, model.lam, x, k, cfg, X, warm_u=dual)
-        # The bank's kept plans hold the last prox solve's buffers; kept
-        # past the solve, they stop the allocator from reusing that memory
-        # (150 rounds of the mri-64 benchmark in one process peaked 2.7 MB
-        # higher).
-        model.W.release()
         x_next, dual = res.x, res.dual
         trace.record_solve(res)
         trace.residuals.append(relative_change(x_next, x))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,30 @@ def test_identity_path_takes_a_fixed_eps_fbs():
     assert tight.prox_iterations > loose.prox_iterations
     assert np.array_equal(tight.x, ref.x)
     assert tight.prox_iterations == ref.prox_iterations
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["weighted", "ones"])
+def test_identity_path_drops_its_copy_of_the_data_before_the_prox(unit):
+    # The one-step path reads H^T y once, to form z.  Its peak is then the
+    # prox's eight image-sized arrays and z; kept through the prox, H^T y
+    # made it ten images.  256x256 images keep no bank plans.
+    shape = (256, 256)
+    rng = Rng(14)
+    y = rng.uniform_array(shape) + 0.1 * rng.gaussian_array(shape)
+    weights = (np.ones((2,) + shape) if unit
+               else rng.uniform_array((2,) + shape))
+    L = WeightedAnalysisOperator(difference_bank(), weights)
+    X = ConstraintSet.all_space()
+    cfg = SolverConfig(k_prox=20)
+    fbs_solve(IdentityOp(), y, L, 0.05, y, 1, cfg, X)     # norm, cached
+    tracemalloc.start()
+    try:
+        res = fbs_solve(IdentityOp(), y, L, 0.05, y, 1, cfg, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.prox_iterations >= 5
+    assert peak <= 9 * y.nbytes + y.nbytes // 4
 
 
 @pytest.mark.parametrize("scheme", ["mmr", "safi"])

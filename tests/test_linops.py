@@ -759,3 +759,24 @@ def test_release_drops_every_kept_plan():
         assert [len(plans) for plans in bank._plans] == [0, 0]
         assert_same_bits(fwd, fresh.forward(x))
         assert_same_bits(adj, fresh.adjoint(s))
+
+
+def test_multi_stage_banks_keep_no_plans():
+    # A chain hands its last stage a new intermediate array at every call,
+    # so a plan kept for it could never be replayed: none is kept, and
+    # repeated calls on the same x and out still give a fresh bank's bits.
+    grouped = Rng(55).gaussian_array((2, 1, 3, 3))
+
+    def make():
+        return FilterBank([difference_bank().stages[0],
+                           ConvStage(grouped, groups=2)])
+    bank, fresh = make(), make()
+    rng = Rng(56)
+    x, s = rng.gaussian_array((8, 8)), rng.gaussian_array((2, 8, 8))
+    fwd, adj = np.empty((2, 8, 8)), np.empty((8, 8))
+    for _ in range(3):
+        assert bank.forward(x, out=fwd) is fwd
+        assert bank.adjoint(s, out=adj) is adj
+        assert_same_bits(fwd, fresh.forward(x))
+        assert_same_bits(adj, fresh.adjoint(s))
+        assert bank._plans and all(plans == [] for plans in bank._plans)

@@ -10,8 +10,8 @@ from mmrsafi.linops import (ConvStage, FilterBank, dense_matrix_of,
                             difference_bank)
 from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
 from mmrsafi.phantom import make_phantom
-from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
-                          prox_weighted_l1)
+from mmrsafi.prox import (ConstraintSet, ProxConfig, ProxResult,
+                          WeightedAnalysisOperator, prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,
                              mask_safi)
 
@@ -329,6 +329,17 @@ def test_warm_started_solve_reads_its_inputs_only(box):
         assert np.array_equal(a, kept)
 
 
+def test_warm_start_of_another_shape_rejected():
+    # Broadcast into the dual, an image-shaped warm_u would pass for one.
+    rng = Rng(26)
+    L = weighted_difference(rng, (8, 8))
+    z = rng.gaussian_array((8, 8))
+    for bad in (np.zeros((8, 8)), np.zeros((1, 8, 8)), np.zeros((2, 8, 9))):
+        with pytest.raises(ValueError, match="warm_u must be shaped"):
+            prox_weighted_l1(z, L, 0.3, ConstraintSet.all_space(), TIGHT,
+                             warm_u=bad)
+
+
 def test_results_share_no_memory():
     # Each solve's arrays are its own: no result aliases another result,
     # an input, or the operator's workspace.
@@ -349,6 +360,25 @@ def test_results_share_no_memory():
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:] + others:
             assert not np.shares_memory(a, b)
+
+
+def test_returned_dual_holds_only_itself():
+    # Callers keep the dual for the next warm start: it must not keep alive
+    # the image-sized part of the buffer the solve formed it in.
+    rng = Rng(25)
+    L = weighted_difference(rng, (8, 8))
+    X = ConstraintSet.all_space()
+    z = rng.gaussian_array((8, 8))
+    short = ProxConfig(max_iters=7, epsilon=1e-16)
+    cold = prox_weighted_l1(z, L, 0.3, X, TIGHT)
+    results = [cold,
+               prox_weighted_l1(z + 1e-3, L, 0.3, X, TIGHT, warm_u=cold.dual),
+               prox_weighted_l1(z, L, 0.3, X, short),
+               prox_weighted_l1(z, L, 0.3, X, short, warm_u=cold.dual)]
+    assert [res.converged for res in results] == [True, True, False, False]
+    for res in results:
+        base = res.dual if res.dual.base is None else res.dual.base
+        assert base.nbytes == res.dual.nbytes == L.weights.nbytes
 
 
 def traced_peak(fn):
@@ -396,6 +426,7 @@ class CountingOperator:
 
     def __init__(self, L):
         self.L = L
+        self.bank = L.bank
         self.weights = L.weights
         self.workspace = L.workspace
         self.forward_calls = 0
@@ -446,6 +477,133 @@ def two_adjoint_prox(z, L, gamma, X, cfg, ceiling=np.inf):
             t, j = t_next, j + 1
         u, a = u_next, L.adjoint(u_next)
     return X.project(z - a), cfg.max_iters
+
+
+def six_buffer_prox(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
+    """prox_weighted_l1's iteration on six separate arrays: u, v, a = L^T u,
+    a_v = L^T v, x and work, with each half of the momentum step formed by
+    its own multiply and add, every application through L.forward and
+    L.adjoint, and the channel sums of ||s||_1 added left to right.  The
+    solver's shared buffers must give its results bit for bit."""
+    def project(r):
+        if not X.is_all_space:
+            r.clip(X.lower, X.upper, out=r)
+
+    def squared_distance(x, work):
+        diff = np.subtract(x, z, out=work)
+        return float(np.vdot(diff, diff))
+
+    alpha = 1.0 / L.norm_bound() ** 2
+    u = L.forward(z) if warm_u is None else np.array(warm_u, dtype=np.float64)
+    a = L.adjoint(u)
+    v, a_v = u.copy(), a.copy()
+    x, work = np.empty(z.shape), np.empty(z.shape)
+    step = L.workspace
+    t, j, restarts, ratio = 1.0, 1, 0, np.nan
+    for k in range(cfg.max_iters + 1):
+        check = k > 0 and k % 5 == 0
+        if check:
+            np.subtract(z, a, out=x)
+            project(x)
+            dual_value = (0.5 * squared_distance(x, work)
+                          + float(np.vdot(a, x)))
+        elif k == cfg.max_iters:
+            break
+        np.subtract(z, a_v, out=a_v)
+        project(a_v)
+        if check:
+            np.copyto(x, a_v)
+        L.forward(np.multiply(a_v, alpha, out=a_v), out=step)
+        if check:
+            penalty = sum(float(np.abs(s, out=work).sum()) for s in step)
+            primal = (0.5 * squared_distance(x, work)
+                      + gamma * penalty / alpha)
+            gap = primal - dual_value
+            ratio = gap / primal if primal > 0.0 else 0.0
+            if gap <= cfg.epsilon * primal and primal <= ceiling:
+                return ProxResult(x, u, k, True, ratio, restarts)
+            if k == cfg.max_iters:
+                break
+        np.add(v, step, out=v)
+        u_next = v.clip(-gamma, gamma, out=v)
+        np.subtract(u_next, u, out=u)
+        if np.vdot(step, u) < 0.0:
+            t, j, beta = 1.0, 1, 0.0
+            restarts += 1
+        else:
+            t_next = (j + 5.0) / 3.0
+            t, j, beta = t_next, j + 1, (t - 1.0) / t_next
+        np.multiply(u, beta, out=u)
+        np.add(u_next, u, out=u)
+        a_next = L.adjoint(u_next, out=a_v)
+        np.subtract(a_next, a, out=a)
+        np.multiply(a, beta, out=a)
+        np.add(a_next, a, out=a)
+        u, v, a, a_v = u_next, u, a_next, a
+    np.subtract(z, a, out=x)
+    project(x)
+    return ProxResult(x, u, cfg.max_iters, False, ratio, restarts)
+
+
+def assert_same_result(got, want):
+    for a, b in ((got.x, want.x), (got.dual, want.dual)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert (got.iterations, got.converged, got.restarts) == (
+        want.iterations, want.converged, want.restarts)
+    assert np.array_equal(got.gap, want.gap, equal_nan=True)
+
+
+def three_channel_bank():
+    """Horizontal, vertical and diagonal periodic differences."""
+    kern = np.zeros((3, 1, 3, 3))
+    kern[:, 0, 1, 1] = -1.0
+    kern[0, 0, 1, 2] = kern[1, 0, 2, 1] = kern[2, 0, 2, 2] = 1.0
+    return FilterBank([ConvStage(kern, groups=1)])
+
+
+@pytest.mark.parametrize("X", [ConstraintSet.all_space(),
+                               ConstraintSet.box(0.0, 1.0)],
+                         ids=["all_space", "box"])
+@pytest.mark.parametrize("unit", [False, True], ids=["weighted", "ones"])
+@pytest.mark.parametrize("bank, size, merged", [
+    (difference_bank, 8, True), (difference_bank, 64, True),
+    (difference_bank, 72, True), (three_channel_bank, 8, True),
+    (difference_bank, 8, False), (three_channel_bank, 8, False)],
+    ids=["difference-8x8", "difference-64x64", "difference-72x72",
+         "three-channel-8x8", "difference-8x8-split",
+         "three-channel-8x8-split"])
+def test_matches_six_buffer_iteration_bit_for_bit(monkeypatch, bank, size,
+                                                  merged, unit, X):
+    # 64x64 is the largest image whose bank calls replay kept plans, 72x72
+    # keeps none; the split cases take the momentum step of large images.
+    # Certified solves run cold and warm-started from the previous dual;
+    # out-of-budget ones end at each of the first 20 checks in turn, so
+    # that the gaps of all of them are compared.
+    if not merged:
+        monkeypatch.setattr("mmrsafi.prox._MERGED_MOMENTUM_MAX_PIXELS", 0)
+    rng = Rng(67 + size)
+    shape = (size, size)
+    bank = bank()
+    weights = (np.ones((bank.out_channels,) + shape) if unit
+               else rng.uniform_array((bank.out_channels,) + shape))
+    L = WeightedAnalysisOperator(bank, weights)
+    z = X.project(rng.gaussian_array(shape)) + 0.1 * rng.gaussian_array(shape)
+    certify = ProxConfig(max_iters=2000, epsilon=1e-7)
+    cold = prox_weighted_l1(z, L, 0.3, X, certify)
+    assert_same_result(cold, six_buffer_prox(z, L, 0.3, X, certify))
+    z_next = z + 0.01 * rng.gaussian_array(shape)
+    warm = prox_weighted_l1(z_next, L, 0.3, X, certify, warm_u=cold.dual)
+    assert_same_result(warm, six_buffer_prox(z_next, L, 0.3, X, certify,
+                                             warm_u=cold.dual))
+    assert cold.converged and warm.converged
+    for max_iters in range(5, 105, 5):
+        cfg = ProxConfig(max_iters=max_iters, epsilon=1e-16)
+        for warm_u in (None, cold.dual):
+            got = prox_weighted_l1(z_next, L, 0.3, X, cfg, warm_u=warm_u)
+            want = six_buffer_prox(z_next, L, 0.3, X, cfg, warm_u=warm_u)
+            assert not got.converged
+            assert_same_result(got, want)
 
 
 def primal_and_dual(L, gamma, X, z, x, u):

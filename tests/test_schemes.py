@@ -440,18 +440,24 @@ def test_outer_loop_stops_at_a_fixed_point_at_zero():
                          ids=["cvx", "mmr", "safi"])
 def test_schemes_release_the_plans_of_their_solves(monkeypatch, run, make):
     # The analysis bank keeps plans that hold the buffers of the prox solve
-    # that made them; each scheme step releases them after its solve.
+    # that made them; each prox solve releases them before it returns, so
+    # no scheme step ends with a plan kept.
     model = make()
-    kept = []
+    kept, released = [], []
 
     def solve(*args, **kwargs):
         res = real(*args, **kwargs)
         kept.append(sum(map(len, model.W._plans)))
         return res
 
-    real = schemes.fbs_solve
+    def release(bank):
+        released.append(sum(map(len, bank._plans)))
+        real_release(bank)
+
+    real, real_release = schemes.fbs_solve, FilterBank.release
     monkeypatch.setattr(schemes, "fbs_solve", solve)
+    monkeypatch.setattr(FilterBank, "release", release)
     y = Rng(53).gaussian_array((8, 8))
     run(model, IdentityOp(), y, SolverConfig(k_out=3))
-    assert kept and min(kept) > 0
-    assert sum(map(len, model.W._plans)) == 0
+    assert released and min(released) > 0
+    assert kept and max(kept) == 0
