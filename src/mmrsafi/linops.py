@@ -17,23 +17,22 @@ the first call of that shape, from each stage's stencil steps or FFT
 multipliers, after a check of the channel count.  Later calls of that
 shape look the runner up and check only what depends on the arrays passed:
 out's shape and dtype, whether it shares memory with the input, and
-whether it is C-contiguous or else has a flat view.  A stencil stage then
-turns the call into a plan, its steps as a flat list of ufunc calls on
-views of the input and out, and runs it.  In a one-stage bank, on images
-of at most 64 x 64 pixels, it keeps the last two plans whose out was
-passed, C-contiguous and writeable, apart from a C-contiguous input: the
-dual prox calls the bank on the same few buffers each iteration.  The
-stages of a longer bank keep none, as each call hands them new
-intermediate arrays.  A call with the same input and out objects as a
-kept plan replays it, after checking only that out's shape and dtype
-still hold and that it is still writeable.  A plan holds
-its arrays, so their identities are not reused, until the bank's release
-drops it or later calls replace it.  A bank's forward and adjoint write
-into a caller's out array when given one, which may share memory with the
-input and need not be contiguous.
+whether it is C-contiguous.  A stencil stage then turns the call into a
+plan, its steps as a flat list of ufunc calls on views of the input and
+out, and runs it.  In a one-stage bank, on images of at most 64 x 64
+pixels, it keeps the last two plans whose out was passed, C-contiguous and
+writeable, apart from a C-contiguous input: the dual prox calls the bank
+on the same few buffers each iteration.  The stages of a longer bank keep
+none, as each call hands them new intermediate arrays.  A call with the
+same input and out objects as a kept plan replays it, after checking only
+that out's shape and dtype still hold and that it is still writeable.  A
+plan holds its arrays, so their identities are not reused, until the
+bank's release drops it or later calls replace it.  A bank's forward and
+adjoint write into a caller's out array when given one, which may share
+memory with the input and need not be contiguous: a stencil stage fills an
+out that is not C-contiguous from a new array.
 Periodic banks are block-circulant, so their spectral norm is exact from
-one impulse response per input channel.  A direct dense materialization is
-available for oracle-scale checks.
+one impulse response per input channel.
 """
 
 from dataclasses import dataclass
@@ -327,13 +326,6 @@ def _stencil_steps(channel_taps, h, w):
     return tuple(steps)
 
 
-def _flattens(a):
-    """Whether a, shaped (c, h, w) or (h, w), reshapes to (c, h * w) as a
-    view."""
-    h, w = a.shape[-2:]
-    return h == 1 or w == 1 or a.strides[-2] == a.strides[-1] * w
-
-
 def _reject(out, shape):
     """Raise for an out that is not a float64 array of this shape."""
     raise ValueError(f"out must be a float64 array of shape {shape}, "
@@ -343,7 +335,9 @@ def _reject(out, shape):
 # A plan holds its x and out.  A difference-bank call on one thread of a
 # 2-core Xeon (numpy 2.4) costs about 18 us at 64x64, of which a replay
 # skips 7; at 256x256 it costs 110-135 us, of which a replay would skip
-# under 5%, while a forward pair held would take 1.5 MB.
+# under 5%.  A prox solve releases its plans when it returns, but a kept
+# plan with scaled taps holds its own scratch image: without this cap a
+# 256x256 prox on such a bank peaked 2 MB higher (tracemalloc).
 _PLAN_MAX_PIXELS = 64 * 64
 _FLOAT64 = np.dtype(np.float64)
 
@@ -404,16 +398,19 @@ class _StencilStage:
         weight * x[source] shifted periodically, so that element (i, j)
         reads x[source, (i + dr) % h, (j + dc) % w].
 
-        Each call runs a plan: the steps as a list of ufunc calls on views
-        of its x and out.  A call whose x and out are the objects of a kept
-        plan replays it, once out's shape and dtype still hold and out is
-        still writeable.  When keeps is true, the last two plans are kept,
-        on images of at most _PLAN_MAX_PIXELS, when out was passed, is
-        writeable and C-contiguous and shares no memory with x, and x is
-        C-contiguous.  A plan holds its arrays, so their identities cannot
-        be reused; their strides are not rechecked (setting strides in place
-        is deprecated in numpy 2.4).  The function's plans attribute lists
-        the kept plans as (x, out, calls), the latest last."""
+        Each call runs a plan: the steps as a list of ufunc calls on
+        (channels, h * w) views of its x and out.  An x with no such view
+        is read from a copy; an out that is not C-contiguous gets the
+        result formed in a new array, then copied in.  A call whose x and
+        out are the objects of a kept plan replays it, once out's shape and
+        dtype still hold and out is still writeable.  When keeps is true,
+        the last two plans are kept, on images of at most _PLAN_MAX_PIXELS,
+        when out was passed, is writeable and C-contiguous and shares no
+        memory with x, and x is C-contiguous.  A plan holds its arrays, so
+        their identities cannot be reused; their strides are not rechecked
+        (setting strides in place is deprecated in numpy 2.4).  The
+        function's plans attribute lists the kept plans as (x, out, calls),
+        the latest last."""
         taps = self._taps[direction]
         c_in, c_out = len(self._taps[1 - direction]), len(taps)
         h, w = shape[-2:]
@@ -442,11 +439,10 @@ class _StencilStage:
             elif np.may_share_memory(x, out):
                 x, keep = x.copy(), False   # taps read x while out is written
             contiguous = out.flags.c_contiguous
-            flat = contiguous or _flattens(out)
-            y = out.reshape(c_out, n) if flat else np.empty((c_out, n))
+            y = out.reshape(c_out, n) if contiguous else np.empty((c_out, n))
             # x.reshape copies when x's strides allow no view.
             calls = _ufunc_calls(steps, x.reshape(c_in, n), y, n)
-            if not flat:
+            if not contiguous:
                 calls.append((np.copyto, (out, y.reshape(shape))))
             if (keep and contiguous and x.flags.c_contiguous
                     and out.flags.writeable):
@@ -509,28 +505,6 @@ class _SpectralStage:
         return run
 
 
-class MatrixOp:
-    """Dense matrix as a forward operator on flattened images (test scale)."""
-
-    def __init__(self, matrix, in_shape):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.in_shape = tuple(in_shape)
-        if self.matrix.shape[1] != int(np.prod(in_shape)):
-            raise ValueError("matrix columns do not match input size")
-        self.norm = float(np.linalg.norm(self.matrix, 2))
-        self.normal_is_identity = False
-
-    def forward(self, x):
-        return self.matrix @ np.asarray(x, dtype=np.float64).ravel()
-
-    def adjoint(self, y):
-        return (self.matrix.T @ np.asarray(y, dtype=np.float64).ravel()).reshape(
-            self.in_shape)
-
-    def normal(self, x):
-        return self.adjoint(self.forward(x))
-
-
 def operator_norm(forward, adjoint, in_shape, iters=100, rng=None):
     """Largest singular value estimate by power iteration on A^T A."""
     if iters < 1:
@@ -549,26 +523,6 @@ def operator_norm(forward, adjoint, in_shape, iters=100, rng=None):
             return 0.0
         v = w / lam
     return float(np.sqrt(lam))
-
-
-# Largest input dimension the dense oracle will materialize.
-_DENSE_MAX_DIM = 4096
-
-
-def dense_matrix_of(apply_fn, in_shape):
-    """Materialize a linear map column by column (oracle support)."""
-    n = int(np.prod(in_shape))
-    if n > _DENSE_MAX_DIM:
-        raise ValueError(
-            f"input dimension {n} exceeds oracle cap {_DENSE_MAX_DIM}")
-    cols = []
-    basis = np.zeros(in_shape)
-    flat = basis.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        cols.append(np.asarray(apply_fn(basis), dtype=np.float64).ravel().copy())
-        flat[j] = 0.0
-    return np.stack(cols, axis=1)
 
 
 def difference_bank():

@@ -2,8 +2,10 @@
 
 None of this shares code with the main solvers: the prox and full problems
 are solved by dense ADMM with Cholesky factorizations, gradients are checked
-by central differences, and spectral norms by one-sided Jacobi.  Problems are
-capped at oracle scale (<= 64 unknowns).
+by central differences, and spectral norms by one-sided Jacobi.  Linear maps
+become dense matrices through dense_matrix_of, capped at 4,096 inputs, and
+MatrixOp applies one as a forward operator.  The ADMM oracles take at most
+64 unknowns.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,48 @@ class AdmmConfig:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+
+
+class MatrixOp:
+    """Dense matrix as a forward operator on flattened images (test scale)."""
+
+    def __init__(self, matrix, in_shape):
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.in_shape = tuple(in_shape)
+        if self.matrix.shape[1] != int(np.prod(in_shape)):
+            raise ValueError("matrix columns do not match input size")
+        self.norm = float(np.linalg.norm(self.matrix, 2))
+        self.normal_is_identity = False
+
+    def forward(self, x):
+        return self.matrix @ np.asarray(x, dtype=np.float64).ravel()
+
+    def adjoint(self, y):
+        return (self.matrix.T @ np.asarray(y, dtype=np.float64).ravel()).reshape(
+            self.in_shape)
+
+    def normal(self, x):
+        return self.adjoint(self.forward(x))
+
+
+# Largest input dimension the dense oracle will materialize.
+_DENSE_MAX_DIM = 4096
+
+
+def dense_matrix_of(apply_fn, in_shape):
+    """Materialize a linear map column by column (oracle support)."""
+    n = int(np.prod(in_shape))
+    if n > _DENSE_MAX_DIM:
+        raise ValueError(
+            f"input dimension {n} exceeds oracle cap {_DENSE_MAX_DIM}")
+    cols = []
+    basis = np.zeros(in_shape)
+    flat = basis.reshape(-1)
+    for j in range(n):
+        flat[j] = 1.0
+        cols.append(np.asarray(apply_fn(basis), dtype=np.float64).ravel().copy())
+        flat[j] = 0.0
+    return np.stack(cols, axis=1)
 
 
 def _soft(v, t):

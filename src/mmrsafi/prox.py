@@ -98,8 +98,8 @@ class WeightedAnalysisOperator:
     The weights are read at construction and must not change after it:
     norm_bound is cached from them, and unit, true when they are all
     exactly 1, says that L is the bank alone, as 1.0 * y is y bit for bit.
-    forward and adjoint then call the bank without the weight multiplies,
-    and the dual prox calls the bank's methods itself.
+    forward and adjoint always apply the weights; on a unit mask the dual
+    prox calls the bank's methods itself.
     """
 
     def __init__(self, bank, weights):
@@ -122,13 +122,12 @@ class WeightedAnalysisOperator:
     def forward(self, x, out=None):
         """L x; written into out (shaped like the weights) when given."""
         out = self.bank.forward(x, out=out)
-        return out if self.unit else np.multiply(self.weights, out, out=out)
+        return np.multiply(self.weights, out, out=out)
 
     def adjoint(self, u, out=None):
         """L^T u; written into out (shaped like an image) when given.  u may
         be the workspace."""
-        if not self.unit:
-            u = np.multiply(self.weights, u, out=self.workspace)
+        u = np.multiply(self.weights, u, out=self.workspace)
         return self.bank.adjoint(u, out=out)
 
     def norm_bound(self):
@@ -219,7 +218,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     after k iterations has made k + 1 L.forward calls on a warm start and
     k + 2 on a cold one.  a_{k+1} is computed fresh from u_{k+1}, so no
     error builds up.  The restart test costs one vdot.  An operator whose
-    unit attribute is true applies its bank alone, so the solve calls
+    unit attribute is true is its bank alone, so the solve calls
     L.bank.forward and L.bank.adjoint, bound when it starts.
 
     Each solve owns four arrays, made when it starts: two flat buffers,

@@ -15,9 +15,10 @@ from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import SolverConfig, momentum_next, tol_fbs, tol_prox
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
-from mmrsafi.linops import (ConvStage, FilterBank, box_bank, dense_matrix_of,
-                            difference_bank, operator_norm, project_zero_mean)
-from mmrsafi.oracle import AdmmConfig, admm_prox_oracle, finite_diff_gradient
+from mmrsafi.linops import (ConvStage, FilterBank, box_bank, difference_bank,
+                            operator_norm, project_zero_mean)
+from mmrsafi.oracle import (AdmmConfig, admm_prox_oracle, dense_matrix_of,
+                            finite_diff_gradient)
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
                           prox_weighted_l1)

@@ -10,9 +10,8 @@ from mmrsafi.fbs import (NumericalError, SolverConfig, fbs_solve,
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
 from mmrsafi.phantom import make_phantom
-from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, dense_matrix_of,
-                            difference_bank)
-from mmrsafi.oracle import admm_full_oracle
+from mmrsafi.linops import ConvStage, FilterBank, difference_bank
+from mmrsafi.oracle import MatrixOp, admm_full_oracle, dense_matrix_of
 from mmrsafi.prox import (ConstraintSet, ProxConfig, WeightedAnalysisOperator,
                           prox_weighted_l1)
 from mmrsafi.schemes import (default_safi_model, default_tv_model, mask_mmr,

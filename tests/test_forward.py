@@ -5,7 +5,8 @@ from mmrsafi.core import Rng
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask, read_mask_file,
                              write_mask_file)
-from mmrsafi.linops import MatrixOp, operator_norm
+from mmrsafi.linops import operator_norm
+from mmrsafi.oracle import MatrixOp
 
 
 def full_dft_op(n=8):

@@ -5,11 +5,11 @@ import pytest
 
 from mmrsafi import linops
 from mmrsafi.core import Rng
-from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, _SpectralStage,
-                            _StencilStage, box_bank, dense_matrix_of,
-                            difference_bank, operator_norm,
-                            project_positive_normalized, project_zero_mean)
-from mmrsafi.oracle import jacobi_svd_norm
+from mmrsafi.linops import (ConvStage, FilterBank, _SpectralStage,
+                            _StencilStage, box_bank, difference_bank,
+                            operator_norm, project_positive_normalized,
+                            project_zero_mean)
+from mmrsafi.oracle import MatrixOp, dense_matrix_of, jacobi_svd_norm
 
 
 def periodic_correlate(x, k):

@@ -1,6 +1,11 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mmrsafi import oracle
 from mmrsafi.core import Rng
 from mmrsafi.oracle import (AdmmConfig, OracleError, admm_full_oracle,
                             admm_prox_oracle, finite_diff_gradient,
@@ -107,3 +112,18 @@ def test_jacobi_svd_rectangular():
 def test_admm_config_validation():
     with pytest.raises(ValueError):
         AdmmConfig(rho=0.0)
+
+
+def test_oracle_imports_no_solver_code():
+    # The oracles are references for the solvers only while they share no
+    # code with them: oracle.py may import numpy, scipy and the standard
+    # library, and nothing relative or from this package.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
+            roots.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+    assert roots <= {"numpy", "scipy"} | set(sys.stdlib_module_names), roots

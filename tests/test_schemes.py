@@ -9,10 +9,9 @@ from mmrsafi.core import Rng, psnr
 from mmrsafi.fbs import NumericalError, SolverConfig, fbs_solve, tol_fbs
 from mmrsafi.forward import (IdentityOp, MaskedDftOp, add_noise,
                              make_cartesian_mask)
-from mmrsafi.linops import (ConvStage, FilterBank, MatrixOp, box_bank,
-                             dense_matrix_of, project_positive_normalized,
-                             project_zero_mean)
-from mmrsafi.oracle import finite_diff_gradient
+from mmrsafi.linops import (ConvStage, FilterBank, box_bank,
+                             project_positive_normalized, project_zero_mean)
+from mmrsafi.oracle import MatrixOp, dense_matrix_of, finite_diff_gradient
 from mmrsafi.phantom import make_phantom
 from mmrsafi.prox import ConstraintSet, WeightedAnalysisOperator
 from mmrsafi.schemes import (default_safi_model, default_tv_model,
