@@ -29,9 +29,9 @@ A solve keeps its dual iterate u next to a = L^T u in one flat buffer,
 Once u_{k+1} and a_{k+1} are formed in the second, the next momentum point
 and its adjoint are formed in the first, on small images by one multiply
 and one add over the whole of it, and the two buffers swap roles.  On an
-all-ones mask the solve calls the bank's methods directly.  The returned
-dual is u's buffer cut down to u in place, so that a caller keeping it for
-a warm start keeps no image-sized part, and no copy is made.
+all-ones mask the solve calls the bank's methods directly.  With the image
+x they are all the arrays a solve makes: a gap check works in x and in
+a_v's part, free after the ascent step's L.  The dual returned is u's part.
 """
 
 from dataclasses import dataclass
@@ -221,27 +221,27 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     unit attribute is true is its bank alone, so the solve calls
     L.bank.forward and L.bank.adjoint, bound when it starts.
 
-    Each solve owns four arrays, made when it starts: two flat buffers,
-    each a dual-sized part followed by an image-sized one, [u | a] with
-    a = L^T u and [v | a_v] with a_v = L^T v, and the images x and work;
-    the ascent step's L is applied into L.workspace.  The iteration makes
-    no other array, and the bank's stencil stages read their input in
-    place; only numpy's iteration buffers for strided reads come and go
-    per call.  a_v's part first holds alpha * x^, the point L.forward
-    reads.  u_{k+1} is formed in v's part, then u_{k+1} - u_k in u's for
-    the restart test, a_{k+1} in a_v's part and a_{k+1} - a_k in a's.  On
-    images of at most _MERGED_MOMENTUM_MAX_PIXELS pixels one multiply and
-    one add over the whole of [u | a] then form [v_{k+1} | a_{v,k+1}]
-    there; on larger ones v_{k+1} is formed before L^T and a_{v,k+1} after
-    it, with the same operations on every element.  The two buffers then
-    swap roles.  At a
-    check, x holds x_k and then a copy of x^ taken before alpha scales it;
-    work holds x - z, and |s| one channel at a time.  z and warm_u are only
-    read.  The result's x is this solve's x, and its dual is [u | a] cut
-    down to u in place (ndarray.resize), so that it holds no image-sized
-    part; that takes no copy and no new array.  It needs the views of the
-    buffer gone: the solve drops its own, and L.bank.release() drops those
-    the bank's kept plans hold, so L must have the bank it applies.
+    Each solve makes three arrays when it starts: two flat buffers, each a
+    dual-sized part followed by an image-sized one, [u | a] with a = L^T u
+    and [v | a_v] with a_v = L^T v, and the image x; the ascent step's L is
+    applied into L.workspace.  The iteration makes no other array, and the
+    bank's stencil stages read their input in place; only numpy's
+    iteration buffers for strided reads come and go per call.  a_v's part
+    first holds alpha * x^, the point L.forward reads.  u_{k+1} is formed
+    in v's part, then u_{k+1} - u_k in u's for the restart test, a_{k+1} in
+    a_v's part and a_{k+1} - a_k in a's.  On images of at most
+    _MERGED_MOMENTUM_MAX_PIXELS pixels one multiply and one add over the
+    whole of [u | a] then form [v_{k+1} | a_{v,k+1}] there; on larger ones
+    v_{k+1} is formed before L^T and a_{v,k+1} after it, with the same
+    operations on every element.  The two buffers then swap roles.  At a
+    check, x holds x_k, then x_k - z, then a copy of x^ taken before alpha
+    scales it; a_v's part, free from the ascent step's L.forward until
+    L^T writes it, holds |s| one channel at a time and then x^ - z.  z and
+    warm_u are only read.  The result's x is this solve's x, and its dual
+    is u's part of [u | a], so a caller keeping it for a warm start keeps
+    the whole buffer.  L.bank.release() drops the bank's kept plans, which
+    hold views of both buffers, so that they are freed as soon as the
+    caller drops the result.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -277,7 +277,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
         np.copyto(u, warm_u)
     adjoint(u, out=a)
     np.copyto(va, ua)
-    x, work = np.empty(z.shape), np.empty(z.shape)
+    x = np.empty(z.shape)
     step = L.workspace
     box, lower, upper = not X.is_all_space, X.lower, X.upper
     merged = z.size <= _MERGED_MOMENTUM_MAX_PIXELS
@@ -294,8 +294,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
             subtract(z, a, out=x)
             if box:
                 x.clip(lower, upper, out=x)
-            subtract(x, z, out=work)
-            dual_value = 0.5 * float(vdot(work, work)) + float(vdot(a, x))
+            dual_value = float(vdot(a, x))
+            subtract(x, z, out=x)
+            dual_value = 0.5 * float(vdot(x, x)) + dual_value
         elif k == cfg.max_iters:
             break
         # u_{k+1} = clip(v + s) for the step s = L(alpha * x^), in v's
@@ -309,9 +310,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
         if check:
             penalty = 0.0
             for s in step:
-                penalty += float(reduce_add(np.abs(s, out=work), axis=None))
-            subtract(x, z, out=work)
-            primal = 0.5 * float(vdot(work, work)) + gamma * penalty / alpha
+                penalty += float(reduce_add(np.abs(s, out=a_v), axis=None))
+            subtract(x, z, out=a_v)
+            primal = 0.5 * float(vdot(a_v, a_v)) + gamma * penalty / alpha
             gap = primal - dual_value
             ratio = gap / primal if primal > 0.0 else 0.0
             if gap <= cfg.epsilon * primal and primal <= ceiling:
@@ -348,10 +349,5 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     if not converged:
         np.subtract(z, a, out=x)
         _project_into(X, x)
-    # The bank's kept plans hold views of both buffers.  Once they and the
-    # views of [u | a] are gone, that buffer is cut down to u in place.
     L.bank.release()
-    del u, a
-    ua.resize(m)
-    return ProxResult(x, ua.reshape(dual_shape), k, converged, ratio,
-                      restarts)
+    return ProxResult(x, u, k, converged, ratio, restarts)

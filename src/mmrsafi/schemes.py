@@ -172,9 +172,10 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
     lambda is resolved once: cfg.lam, when set, replaces model.lam, and the
     FBS solves, mask_fn(model, x) and objective_fn(model, H, y, x) all see
     the same model.  Each step takes its mask from the current iterate,
-    except a cold first step (no x_init), which uses ones.  Without a mask
-    generator the mask stays at one and a single solve is run.  The loop
-    stops after cfg.k_out steps, or once the step's relative change
+    except a cold first step (no x_init), which uses ones, and drops it and
+    its operator once its solve returns.  Without a mask generator the mask
+    stays at one and a single solve is run.  The loop stops after cfg.k_out
+    steps, or once the step's relative change
     e_k = ||x_{k+1} - x_k|| / ||x_k|| falls below cfg.eps_out.  The image
     shape is that of x_init, or of H^T y on a cold start.
     """
@@ -203,8 +204,9 @@ def _run_scheme(model, H, y, cfg, X, x_init, reference, mask_fn=None,
             mask = np.ones((model.W.out_channels,) + x.shape)
         else:
             mask = mask_fn(model, x)
-        L = WeightedAnalysisOperator(model.W, mask)
-        res = fbs_solve(H, y, L, model.lam, x, k, cfg, X, warm_u=dual)
+        res = fbs_solve(H, y, WeightedAnalysisOperator(model.W, mask),
+                        model.lam, x, k, cfg, X, warm_u=dual)
+        del mask
         x_next, dual = res.x, res.dual
         trace.record_solve(res)
         trace.residuals.append(relative_change(x_next, x))

@@ -345,8 +345,8 @@ def test_identity_path_takes_a_fixed_eps_fbs():
 @pytest.mark.parametrize("unit", [False, True], ids=["weighted", "ones"])
 def test_identity_path_drops_its_copy_of_the_data_before_the_prox(unit):
     # The one-step path reads H^T y once, to form z.  Its peak is then the
-    # prox's eight image-sized arrays and z; kept through the prox, H^T y
-    # made it ten images.  256x256 images keep no bank plans.
+    # prox's seven image-sized arrays and z; kept through the prox, H^T y
+    # made it nine images.  256x256 images keep no bank plans.
     shape = (256, 256)
     rng = Rng(14)
     y = rng.uniform_array(shape) + 0.1 * rng.gaussian_array(shape)
@@ -363,7 +363,7 @@ def test_identity_path_drops_its_copy_of_the_data_before_the_prox(unit):
     finally:
         tracemalloc.stop()
     assert res.prox_iterations >= 5
-    assert peak <= 9 * y.nbytes + y.nbytes // 4
+    assert peak <= 8 * y.nbytes + y.nbytes // 4
 
 
 @pytest.mark.parametrize("scheme", ["mmr", "safi"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -460,3 +461,29 @@ def test_schemes_release_the_plans_of_their_solves(monkeypatch, run, make):
     run(model, IdentityOp(), y, SolverConfig(k_out=3))
     assert released and min(released) > 0
     assert kept and max(kept) == 0
+
+
+@pytest.mark.parametrize("run", [run_mmr, run_safi], ids=["mmr", "safi"])
+def test_masks_are_computed_without_the_last_step_held(monkeypatch, run):
+    # When a step computes its mask, the run holds x, its result array and
+    # the last dual's [u | a] buffer (two channels and an image): five
+    # images.  The last step's mask and its operator's workspace are gone.
+    model = default_safi_model() if run is run_safi else default_tv_model()
+    name = "mask_safi" if run is run_safi else "mask_mmr"
+    y = add_noise(make_phantom(64, seed=4), 0.05, Rng(20))
+    cfg = SolverConfig(k_out=4)
+    run(model, IdentityOp(), y, cfg)        # per-shape caches
+    held = []
+
+    def traced(model, x, original=getattr(schemes, name)):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return original(model, x)
+
+    monkeypatch.setattr(schemes, name, traced)
+    tracemalloc.start()
+    try:
+        _, trace = run(model, IdentityOp(), y, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(trace.residuals) == 4 and len(held) == 3
+    assert max(held) <= 5 * y.nbytes + y.nbytes // 4
