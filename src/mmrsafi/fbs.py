@@ -11,9 +11,9 @@ import numpy as np
 
 # Unused here; perfbench/tracer.py wraps this name in this module.
 from .linops import operator_norm  # noqa: F401
-from .prox import ProxConfig, momentum_next, prox_weighted_l1
+from .prox import ProxConfig, ProxResult, momentum_next, prox_weighted_l1
 
-# The one-step identity path certifies its prox at G <= this * eps_fbs * P.
+# The identity path certifies its one prox at G <= this * eps_fbs * P.
 # At 25 a 256x256 denoise runs about as many dual iterations as a stop on
 # a relative primal change below eps_fbs did, and every solve is certified.
 _IDENTITY_GAP_FACTOR = 25.0
@@ -74,7 +74,7 @@ def tol_prox(k_fbs, eps_fbs):
 
 
 def _step_size(H):
-    """Gradient step 1/||H||^2 from the operator's exact norm."""
+    """Gradient step 1/||H||^2 from the operator's norm."""
     if H.norm == 0.0:
         raise ValueError("zero forward operator")
     return 1.0 / H.norm ** 2
@@ -89,82 +89,81 @@ def _prox_objective(L, gamma, z, x):
     return 0.5 * float(np.vdot(diff, diff)) + penalty
 
 
+def _backward(z, L, gamma, X, cfg, eps_prox, warm_u, ceiling=np.inf):
+    """Proj_X(z) when gamma = 0, else the certified prox of gamma*||L.||_1
+    over X at z, warm-started from warm_u; its x must be finite."""
+    if gamma == 0.0:
+        pres = ProxResult(X.project(z), warm_u, 0, True, np.nan, 0)
+    else:
+        pres = prox_weighted_l1(
+            z, L, gamma, X, ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
+            warm_u=warm_u, ceiling=ceiling)
+    if not np.all(np.isfinite(pres.x)):
+        raise NumericalError("non-finite iterate in FBS")
+    return pres
+
+
 def fbs_solve(H, y, L, lam, x_init, k_out, cfg, X, warm_u=None):
     """Accelerated proximal gradient for one reweighted convex problem.
 
-    When H^T H = I (H.normal_is_identity) a single step returns
-    prox_{lam*||L.||_1}(H^T y) exactly, so the loop is cut short.  The
-    gradient is H^T H x - H^T y, with H^T y formed once per solve.  Each
-    prox call is warm-started from the dual of the previous one (or warm_u),
-    and the dual of the last is returned for warm-starting the next solve.
+    When H^T H = I (H.normal_is_identity) the step from any point is
+    exactly H^T y, so the solve is one prox of H^T y, and of H it reads
+    only adjoint.  Otherwise the gradient is H^T H x - H^T y, with H^T y
+    formed once per solve, and the step is 1/H.norm^2.  Each prox call is
+    warm-started from the dual of the previous one (or warm_u), and the
+    dual of the last is returned for warm-starting the next solve.
 
     Accelerated FBS accumulates the errors of its inexact prox steps, so
     each prox is certified by its duality gap: its dual loop stops once
     G <= eps_prox * P, within k_prox dual iterations per FBS step.  A fixed
     cfg.eps_prox sets eps_prox; otherwise the multi-step path follows
-    tol_prox, and the one-step identity path, where no error accumulates,
-    takes _IDENTITY_GAP_FACTOR * eps_fbs.  On the identity path the prox
-    objective P is the objective of this problem up to a constant, so when
-    x_init lies in X the prox also must not end above P(x_init): the
-    returned x is no worse than the point the solve started from.
+    tol_prox, and the one-prox identity path, where no error accumulates,
+    takes _IDENTITY_GAP_FACTOR * eps_fbs.  There the returned x is no worse
+    than x_init when x_init lies in X.
     """
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     x = np.asarray(x_init, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite initial iterate")
-    alpha = _step_size(H)
-    identity = H.normal_is_identity
-    max_iter = 1 if identity else cfg.k_fbs
     eps_fbs = cfg.eps_fbs if cfg.eps_fbs is not None else tol_fbs(k_out)
+    if H.normal_is_identity:
+        z = H.adjoint(y)
+        eps_prox = (cfg.eps_prox if cfg.eps_prox is not None
+                    else _IDENTITY_GAP_FACTOR * eps_fbs)
+        ceiling = (_prox_objective(L, lam, z, x)
+                   if lam > 0.0 and X.contains(x) else np.inf)
+        pres = _backward(z, L, lam, X, cfg, eps_prox, warm_u, ceiling)
+        return FbsResult(pres.x, pres.dual, 1, True, pres.iterations,
+                         int(not pres.converged), pres.gap, pres.restarts)
+    alpha = _step_size(H)
 
-    x_tilde = x
-    t = 1.0
-    dual = warm_u
+    x_tilde, t, dual = x, 1.0, warm_u
     h_adj_y = H.adjoint(y)
     prox_iters = prox_unconverged = prox_restarts = 0
     prox_gap = np.nan
-    for k in range(1, max_iter + 1):
+    for k in range(1, cfg.k_fbs + 1):
         # z = x_tilde - alpha * (H^T H x_tilde - H^T y), formed in the
         # new array that H.normal returns.
         z = H.normal(x_tilde)
         np.subtract(z, h_adj_y, out=z)
         np.multiply(z, alpha, out=z)
         np.subtract(x_tilde, z, out=z)
-        if identity:
-            # Read in this one step only: freed before the prox runs.
-            h_adj_y = None
-        if lam > 0.0:
-            if cfg.eps_prox is not None:
-                eps_prox = cfg.eps_prox
-            elif identity:
-                eps_prox = _IDENTITY_GAP_FACTOR * eps_fbs
-            else:
-                eps_prox = tol_prox(k, eps_fbs)
-            gamma = alpha * lam
-            ceiling = (_prox_objective(L, gamma, z, x)
-                       if identity and X.contains(x) else np.inf)
-            pres = prox_weighted_l1(
-                z, L, gamma, X,
-                ProxConfig(max_iters=cfg.k_prox, epsilon=eps_prox),
-                warm_u=dual, ceiling=ceiling)
-            x_next, dual = pres.x, pres.dual
-            prox_iters += pres.iterations
-            prox_unconverged += not pres.converged
-            prox_restarts += pres.restarts
-            prox_gap = pres.gap
-        else:
-            x_next = X.project(z)
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalError("non-finite iterate in FBS")
+        eps_prox = (cfg.eps_prox if cfg.eps_prox is not None
+                    else tol_prox(k, eps_fbs))
+        pres = _backward(z, L, alpha * lam, X, cfg, eps_prox, dual)
+        x_next, dual = pres.x, pres.dual
+        prox_iters += pres.iterations
+        prox_unconverged += not pres.converged
+        prox_restarts += pres.restarts
+        prox_gap = pres.gap
         t_next = momentum_next(k)
         step = x_next - x
         x_tilde = x_next + ((t - 1.0) / t_next) * step
         diff = np.linalg.norm(step)
-        done = identity or diff < eps_fbs * np.linalg.norm(x) or diff == 0.0
+        done = diff < eps_fbs * np.linalg.norm(x) or diff == 0.0
         x, t = x_next, t_next
         if done:
-            return FbsResult(x, dual, k, True, prox_iters, prox_unconverged,
-                             prox_gap, prox_restarts)
-    return FbsResult(x, dual, max_iter, False, prox_iters, prox_unconverged,
+            break
+    return FbsResult(x, dual, k, bool(done), prox_iters, prox_unconverged,
                      prox_gap, prox_restarts)

@@ -3,17 +3,17 @@
 The DFT uses the orthonormal convention so that the masked operator has unit
 spectral norm and the gradient step 1/||H||^2 is exactly one.  Complex
 measurements are stored as real pairs (..., 2); images stay real.  Each
-operator also applies its normal map H^T H directly, which is what the FBS
-gradient needs, and says in normal_is_identity whether H^T H = I.
+operator says in normal_is_identity whether H^T H = I; only the masked
+operator, whose H^T H need not be I, applies it directly (normal), for the
+FBS gradient.
 """
 
 import numpy as np
 
 
 class IdentityOp:
-    """H = Id, used for denoising."""
+    """H = Id, used for denoising.  As H^T H = I, FBS reads only adjoint."""
 
-    norm = 1.0
     normal_is_identity = True
 
     def forward(self, x):
@@ -21,9 +21,6 @@ class IdentityOp:
 
     def adjoint(self, y):
         return np.array(y, dtype=np.float64)
-
-    def normal(self, x):
-        return np.array(x, dtype=np.float64)
 
 
 class MaskedDftOp:

@@ -236,12 +236,12 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     operations on every element.  The two buffers then swap roles.  At a
     check, x holds x_k, then x_k - z, then a copy of x^ taken before alpha
     scales it; a_v's part, free from the ascent step's L.forward until
-    L^T writes it, holds |s| one channel at a time and then x^ - z.  z and
-    warm_u are only read.  The result's x is this solve's x, and its dual
-    is u's part of [u | a], so a caller keeping it for a warm start keeps
-    the whole buffer.  L.bank.release() drops the bank's kept plans, which
-    hold views of both buffers, so that they are freed as soon as the
-    caller drops the result.
+    L^T writes it, holds |s_c| in its first h*w entries, one channel at a
+    time, then x^ - z.  z and warm_u are only read.  The result's x is
+    this solve's x, and its dual is u's part of [u | a], so a caller
+    keeping it for a warm start keeps the whole buffer.  L.bank.release()
+    drops the bank's kept plans, which hold views of both buffers, so that
+    they are freed as soon as the caller drops the result.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -260,7 +260,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
         return ProxResult(x, np.zeros_like(L.weights), 0, True, np.nan, 0)
     alpha = 1.0 / bound ** 2
 
-    if getattr(L, "unit", False):
+    if L.unit:
         forward, adjoint = L.bank.forward, L.bank.adjoint
     else:
         forward, adjoint = L.forward, L.adjoint
@@ -268,6 +268,9 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     ua, va = np.empty(m + z.size), np.empty(m + z.size)
     u, a = ua[:m].reshape(dual_shape), ua[m:].reshape(z.shape)
     v, a_v = va[:m].reshape(dual_shape), va[m:].reshape(z.shape)
+    # A check's |s_c| goes to an (h, w) view of the image part's first h*w
+    # entries: the image may have more channels than one.
+    abs_u, abs_v = (b[m:m + u[0].size].reshape(u.shape[1:]) for b in (ua, va))
     if warm_u is None:
         forward(z, out=u)
     elif np.shape(warm_u) != dual_shape:
@@ -310,7 +313,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
         if check:
             penalty = 0.0
             for s in step:
-                penalty += float(reduce_add(np.abs(s, out=a_v), axis=None))
+                penalty += float(reduce_add(np.abs(s, out=abs_v), axis=None))
             subtract(x, z, out=a_v)
             primal = 0.5 * float(vdot(a_v, a_v)) + gamma * penalty / alpha
             gap = primal - dual_value
@@ -346,6 +349,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
             multiply(a, beta, out=a)
             add(a_v, a, out=a)
         u, v, a, a_v, ua, va = v, u, a_v, a, va, ua
+        abs_u, abs_v = abs_v, abs_u
     if not converged:
         np.subtract(z, a, out=x)
         _project_into(X, x)

@@ -344,9 +344,10 @@ def test_identity_path_takes_a_fixed_eps_fbs():
 
 @pytest.mark.parametrize("unit", [False, True], ids=["weighted", "ones"])
 def test_identity_path_drops_its_copy_of_the_data_before_the_prox(unit):
-    # The one-step path reads H^T y once, to form z.  Its peak is then the
-    # prox's seven image-sized arrays and z; kept through the prox, H^T y
-    # made it nine images.  256x256 images keep no bank plans.
+    # The identity path's prox takes z = H^T y itself, so its peak is the
+    # prox's seven image-sized arrays and z; with H^T y kept next to a
+    # gradient step's z through the prox it was nine images.  256x256
+    # images keep no bank plans.
     shape = (256, 256)
     rng = Rng(14)
     y = rng.uniform_array(shape) + 0.1 * rng.gaussian_array(shape)
@@ -364,6 +365,45 @@ def test_identity_path_drops_its_copy_of_the_data_before_the_prox(unit):
         tracemalloc.stop()
     assert res.prox_iterations >= 5
     assert peak <= 8 * y.nbytes + y.nbytes // 4
+
+
+class BoundedIdentity(IdentityOp):
+    """The identity with norm 2, an upper bound on ||H|| = 1."""
+
+    norm = 2.0
+
+
+def test_identity_path_is_one_prox_of_the_data():
+    # H^T H = I: the solve is one prox of H^T y, whatever norm H reports
+    # and from whatever x_init, with the prox objective at x_init as its
+    # ceiling.
+    rng = Rng(15)
+    y = rng.gaussian_array((8, 8))
+    x0 = rng.uniform_array((8, 8))
+    L = WeightedAnalysisOperator(difference_bank(),
+                                 rng.uniform_array((2, 8, 8)))
+    X = ConstraintSet.box(0.0, 1.0)
+    cfg = SolverConfig(eps_prox=1e-10)
+    res = fbs_solve(IdentityOp(), y, L, 0.3, x0, 2, cfg, X)
+    bounded = fbs_solve(BoundedIdentity(), y, L, 0.3, x0, 2, cfg, X)
+    direct = prox_weighted_l1(y, L, 0.3, X,
+                              ProxConfig(max_iters=cfg.k_prox, epsilon=1e-10),
+                              ceiling=fbs._prox_objective(L, 0.3, y, x0))
+    for got in (res, bounded):
+        assert got.iterations == 1 and got.converged
+        assert np.array_equal(got.x, direct.x)
+        assert np.array_equal(got.dual, direct.dual)
+        assert got.prox_iterations == direct.iterations
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_identity_path_reads_only_the_adjoint(lam):
+    y = Rng(16).gaussian_array((8, 8))
+    H = Counting(IdentityOp())
+    res = fbs_solve(H, y, ones_difference((8, 8)), lam, np.ones((8, 8)), 2,
+                    SolverConfig(), ConstraintSet.all_space())
+    assert res.iterations == 1 and res.converged
+    assert H.calls == {"adjoint": 1}
 
 
 @pytest.mark.parametrize("scheme", ["mmr", "safi"])

@@ -152,6 +152,22 @@ def test_matches_admm_oracle():
         assert np.max(np.abs(res.x.ravel() - ref)) < 1e-6
 
 
+def test_multichannel_input_bank_certifies():
+    # With two input channels the image is (2, h, w) and each check's
+    # |s_c| is (h, w): summed once per channel, the gap closes.
+    rng = Rng(24)
+    bank = FilterBank([ConvStage(rng.gaussian_array((3, 2, 3, 3)), 1)])
+    L = WeightedAnalysisOperator(bank, rng.uniform_array((3, 4, 4)))
+    z = rng.gaussian_array((2, 4, 4))
+    X = ConstraintSet.all_space()
+    res = prox_weighted_l1(z, L, 0.3, X,
+                           ProxConfig(max_iters=5000, epsilon=1e-12))
+    assert res.converged and 0.0 <= res.gap <= 1e-12
+    ref = admm_prox_oracle(z, dense_matrix_of(L.forward, (2, 4, 4)), 0.3, X,
+                           AdmmConfig(iters=60000))
+    assert np.max(np.abs(res.x.ravel() - ref)) < 1e-9
+
+
 def test_objective_close_to_oracle_optimum():
     rng = Rng(10)
     L = weighted_difference(rng, (6, 6))
@@ -262,6 +278,7 @@ class MultiplyingOperator:
 
     def __init__(self, bank, weights):
         self.bank, self.weights = bank, weights
+        self.unit = False
         self.workspace = np.empty_like(weights)
 
     def forward(self, x, out=None):
@@ -445,6 +462,7 @@ class CountingOperator:
         self.L = L
         self.bank = L.bank
         self.weights = L.weights
+        self.unit = False
         self.workspace = L.workspace
         self.forward_calls = 0
         self.adjoint_calls = 0
