@@ -15,22 +15,13 @@ pass.  Dense multi-channel stages go through FFT multipliers, built once
 per image shape.  A bank builds a runner per direction and input shape at
 the first call of that shape, from each stage's stencil steps or FFT
 multipliers, after a check of the channel count.  Later calls of that
-shape look the runner up and check only what depends on the arrays passed:
-out's shape and dtype, whether it shares memory with the input, and
-whether it is C-contiguous.  A stencil stage then turns the call into a
-plan, its steps as a flat list of ufunc calls on views of the input and
-out, and runs it.  In a one-stage bank, on images of at most 64 x 64
-pixels, it keeps the last two plans whose out was passed, C-contiguous and
-writeable, apart from a C-contiguous input: the dual prox calls the bank
-on the same few buffers each iteration.  The stages of a longer bank keep
-none, as each call hands them new intermediate arrays.  A call with the
-same input and out objects as a kept plan replays it, after checking only
-that out's shape and dtype still hold and that it is still writeable.  A
-plan holds its arrays, so their identities are not reused, until the
-bank's release drops it or later calls replace it.  A bank's forward and
-adjoint write into a caller's out array when given one, which may share
-memory with the input and need not be contiguous: a stencil stage fills an
-out that is not C-contiguous from a new array.
+shape look the runner up and check only what depends on the arrays passed.
+A stencil stage then runs the call as a flat list of ufunc calls on views
+of the input and out, which may share memory and need not be contiguous.
+A caller that applies the bank to the same arrays again and again, as the
+dual prox does, prepares each (input, out) pair once, and forward or
+adjoint run the prepared call with no lookup or check.  The bank keeps no
+array of a caller's.
 Periodic banks are block-circulant, so their spectral norm is exact from
 one impulse response per input channel.
 """
@@ -91,7 +82,8 @@ class FilterBank:
 
     Keeps its own float64 copy of the kernels, so it is immutable after
     construction; forward/adjoint are pure.  Accepts 2-D input
-    (single-channel image) or a 3-D channel stack.
+    (single-channel image) or a 3-D channel stack.  Stencil stages share
+    scratch memory between calls, so one bank serves one thread at a time.
     """
 
     def __init__(self, stages):
@@ -107,7 +99,6 @@ class FilterBank:
         self._c_in, self._c_out = own[0].c_in, own[-1].c_out
         self._norms = {}
         self._runners = {}
-        self._plans = []            # the stencil runners' kept plans
 
     @property
     def in_channels(self):
@@ -118,23 +109,65 @@ class FilterBank:
         return self._c_out
 
     def forward(self, x, out=None):
-        """W x, shaped (out_channels, h, w); written into out when given."""
+        """W x, shaped (out_channels, h, w); written into out when given.
+        x may be a call of this bank's prepare(0, ...), given with no out."""
+        if type(x) is PreparedCall:
+            if x.bank is not self or x.direction or out is not None:
+                raise ValueError(_MISUSED)
+            for f, args in x.calls:
+                f(*args)
+            return x.out
         x = np.asarray(x, dtype=np.float64)
         return (self._runners.get((0, x.shape))
                 or self._runner(0, x.shape))(x, out)
 
     def adjoint(self, s, out=None):
         """W^T s, shaped (h, w) for one input channel and (in_channels, h, w)
-        otherwise; written into out when given."""
+        otherwise; written into out when given.  s may be a call of this
+        bank's prepare(1, ...), given with no out."""
+        if type(s) is PreparedCall:
+            if s.bank is not self or not s.direction or out is not None:
+                raise ValueError(_MISUSED)
+            for f, args in s.calls:
+                f(*args)
+            return s.out
         s = np.asarray(s, dtype=np.float64)
         return (self._runners.get((1, s.shape))
                 or self._runner(1, s.shape))(s, out)
+
+    def prepare(self, direction, x, out):
+        """The call of forward (direction 0) or adjoint (1) from x into out,
+        checked once: given to that method in place of x, it writes the
+        result for x as it is then into out, and returns out.  x must be a
+        C-contiguous float64 array, and out a writeable, C-contiguous
+        float64 array of the result's shape that shares no memory with x,
+        as the call reads x in place; otherwise ValueError, with a plain
+        call's message where a plain call refuses the pair too.  A one-stage
+        stencil bank prepares the stage's ufunc calls, any other bank one
+        call of its runner."""
+        if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64
+                and x.flags.c_contiguous):
+            raise ValueError("a prepared call needs a C-contiguous float64 "
+                             "input")
+        run = (self._runners.get((direction, x.shape))
+               or self._runner(direction, x.shape))
+        if out.shape != run.out_shape or out.dtype != _FLOAT64:
+            _reject(out, run.out_shape)
+        if not out.flags.writeable:
+            raise ValueError("output array is read-only")
+        if not out.flags.c_contiguous or np.may_share_memory(x, out):
+            raise ValueError("a prepared call needs a C-contiguous out that "
+                             "does not share memory with its input")
+        plan = getattr(run, "plan", None)
+        return PreparedCall(self, direction,
+                            plan(x, out) if plan else [(run, (x, out))], out)
 
     def _runner(self, direction, shape):
         """The function (x, out) that applies the bank forward (direction 0)
         or adjoint (1) to inputs x of this shape, (channels, h, w) or (h, w)
         for one channel; built, once the channel count is checked, and
-        cached at the first call of the shape."""
+        cached at the first call of the shape.  Its out_shape attribute is
+        the shape of its result."""
         order = -1 if direction else 1
         c = (self._c_in, self._c_out)[direction]
         if len(shape) not in (2, 3) or (
@@ -148,29 +181,16 @@ class FilterBank:
                   for st in self.stages[::order]]
         if direction and self._c_in == 1:
             shapes[-1] = (h, w)
-        # In a chain the stages before the last get no out, and the last
-        # reads an array the chain made for this call alone: no stage could
-        # replay a plan, so none keeps one.
-        keeps = len(self.stages) == 1
-        *inner, last = runners = [app.runner(direction, res, keeps)
-                                  for app, res in
-                                  zip(self._appliers[::order], shapes)]
-        self._plans += [r.plans for r in runners if hasattr(r, "plans")]
+        *inner, last = [app.runner(direction, res) for app, res in
+                        zip(self._appliers[::order], shapes)]
 
         def chain(x, out):
             for f in inner:
                 x = f(x, None)
             return last(x, out)
         run = self._runners[direction, shape] = chain if inner else last
+        run.out_shape = shapes[-1]
         return run
-
-    def release(self):
-        """Drop the plans kept for earlier calls, and with them the arrays
-        they hold, so that buffers a caller is done with are freed when it
-        drops them, not when later calls replace the plans.  Without it,
-        64x64 MRI runs peaked 2-3 MB (6%) higher in resident memory."""
-        for plans in self._plans:
-            plans.clear()
 
     def norm(self, shape):
         """Exact ||W||_2 on periodic images of this shape, cached per shape.
@@ -332,21 +352,22 @@ def _reject(out, shape):
                      f"got {out.dtype} {out.shape}")
 
 
-# A plan holds its x and out.  A difference-bank call on one thread of a
-# 2-core Xeon (numpy 2.4) costs about 18 us at 64x64, of which a replay
-# skips 7; at 256x256 it costs 110-135 us, of which a replay would skip
-# under 5%.  A prox solve releases its plans when it returns, but a kept
-# plan with scaled taps holds its own scratch image: without this cap a
-# 256x256 prox on such a bank peaked 2 MB higher (tracemalloc).
-_PLAN_MAX_PIXELS = 64 * 64
 _FLOAT64 = np.dtype(np.float64)
+_MISUSED = "a prepared call runs, with no out, on the method it was made for"
 
 
-def _ufunc_calls(steps, x, y, n):
+class PreparedCall:
+    """A call from FilterBank.prepare: its (function, args) calls fill out."""
+
+    def __init__(self, bank, direction, calls, out):
+        self.bank, self.direction = bank, direction
+        self.calls, self.out = calls, out
+
+
+def _ufunc_calls(steps, x, y, scratch):
     """The steps, run on flat views x of the input and y of the output, as
     (ufunc or method, args) calls; the ufuncs take their out positionally."""
     calls = []
-    tmp = None
     for kind, target, a, b, arg in steps:
         t = y[target]
         if kind == _ADD:
@@ -355,10 +376,8 @@ def _ufunc_calls(steps, x, y, n):
             calls.append((arg, (x[a], x[b], t)))
         elif kind == _ADD_SCALED:
             s = x[a]
-            if tmp is None:
-                tmp = np.empty(n)
             # A contiguous scratch block: numpy buffers strided outputs.
-            scaled = tmp[:s.size]
+            scaled = scratch[:s.size]
             calls += [(np.multiply, (s, arg, scaled)),
                       (np.add, (t, scaled, t))]
         elif kind == _OPEN:
@@ -389,8 +408,9 @@ class _StencilStage:
             adjoint_taps[i].append((o, r - a, r - b, v))
         self._taps = (tuple(map(tuple, forward_taps)),
                       tuple(map(tuple, adjoint_taps)))
+        self._scratch = {}          # pixels -> block for scaled taps
 
-    def runner(self, direction, shape, keeps=True):
+    def runner(self, direction, shape):
         """The function (x, out) that applies the stage forward (direction
         0) or adjoint (1) to x, whose channels are the sources of the taps,
         shaped (channels, h, w) or (h, w), into out of this shape; into a
@@ -398,57 +418,40 @@ class _StencilStage:
         weight * x[source] shifted periodically, so that element (i, j)
         reads x[source, (i + dr) % h, (j + dc) % w].
 
-        Each call runs a plan: the steps as a list of ufunc calls on
-        (channels, h * w) views of its x and out.  An x with no such view
-        is read from a copy; an out that is not C-contiguous gets the
-        result formed in a new array, then copied in.  A call whose x and
-        out are the objects of a kept plan replays it, once out's shape and
-        dtype still hold and out is still writeable.  When keeps is true,
-        the last two plans are kept, on images of at most _PLAN_MAX_PIXELS,
-        when out was passed, is writeable and C-contiguous and shares no
-        memory with x, and x is C-contiguous.  A plan holds its arrays, so
-        their identities cannot be reused; their strides are not rechecked
-        (setting strides in place is deprecated in numpy 2.4).  The
-        function's plans attribute lists the kept plans as (x, out, calls),
-        the latest last."""
+        Its plan attribute, plan(x, out), lists the steps as ufunc calls on
+        (channels, h * w) views of a C-contiguous x and out that share no
+        memory.  Each call of the function runs such a list, on a copy of
+        an x that shares memory with out or has no such view, and through a
+        new array for an out that is not C-contiguous.  Scaled taps form
+        their products in the stage's scratch block for this size.
+        """
         taps = self._taps[direction]
         c_in, c_out = len(self._taps[1 - direction]), len(taps)
         h, w = shape[-2:]
         n = h * w
         steps = _stencil_steps(taps, h, w)
-        keeps = keeps and n <= _PLAN_MAX_PIXELS
-        plans = []
-
-        def run(x, out):
-            for px, pout, calls in plans:
-                if (px is x and pout is out and out.shape == shape
-                        and out.dtype == _FLOAT64 and out.flags.writeable):
-                    break
-            else:
-                out, calls = plan(x, out)
-            for f, args in calls:
-                f(*args)
-            return out
+        scratch = (self._scratch.setdefault(n, np.empty(n)) if any(
+            step[0] == _ADD_SCALED for step in steps) else None)
 
         def plan(x, out):
-            keep = keeps and out is not None
+            # x.reshape copies when x's strides allow no view.
+            return _ufunc_calls(steps, x.reshape(c_in, n),
+                                out.reshape(c_out, n), scratch)
+
+        def run(x, out):
             if out is None:
                 out = np.empty(shape)
             elif out.shape != shape or out.dtype != _FLOAT64:
                 _reject(out, shape)
             elif np.may_share_memory(x, out):
-                x, keep = x.copy(), False   # taps read x while out is written
-            contiguous = out.flags.c_contiguous
-            y = out.reshape(c_out, n) if contiguous else np.empty((c_out, n))
-            # x.reshape copies when x's strides allow no view.
-            calls = _ufunc_calls(steps, x.reshape(c_in, n), y, n)
-            if not contiguous:
-                calls.append((np.copyto, (out, y.reshape(shape))))
-            if (keep and contiguous and x.flags.c_contiguous
-                    and out.flags.writeable):
-                plans[:] = plans[-1:] + [(x, out, calls)]
-            return out, calls
-        run.plans = plans
+                x = x.copy()        # taps read x while out is written
+            y = out if out.flags.c_contiguous else np.empty(shape)
+            for f, args in plan(x, y):
+                f(*args)
+            if y is not out:
+                np.copyto(out, y)
+            return out
+        run.plan = plan
         return run
 
 
@@ -479,9 +482,9 @@ class _SpectralStage:
                 self.groups, c_out // self.groups, *spec.shape[1:])
         return self._spectra[h, w]
 
-    def runner(self, direction, shape, keeps=True):
-        """As _StencilStage.runner, through the stage's multipliers; it
-        keeps no plans, so keeps is not read."""
+    def runner(self, direction, shape):
+        """As _StencilStage.runner, through the stage's multipliers, and
+        with no plan attribute."""
         h, w = shape[-2:]
         spec = self._spectrum(h, w)
         c_in = self.kernels.shape[0] if direction else (
@@ -490,7 +493,7 @@ class _SpectralStage:
 
         def run(x, out):
             if out is not None and (out.shape != shape
-                                    or out.dtype != np.float64):
+                                    or out.dtype != _FLOAT64):
                 _reject(out, shape)
             xf = np.fft.rfft2(x.reshape(c_in, h, w))
             # Periodic cross-correlation: the forward takes the conjugate

@@ -28,10 +28,10 @@ A solve keeps its dual iterate u next to a = L^T u in one flat buffer,
 [u | a], and the momentum point v next to L^T v in another, [v | a_v].
 Once u_{k+1} and a_{k+1} are formed in the second, the next momentum point
 and its adjoint are formed in the first, on small images by one multiply
-and one add over the whole of it, and the two buffers swap roles.  On an
-all-ones mask the solve calls the bank's methods directly.  With the image
-x they are all the arrays a solve makes: a gap check works in x and in
-a_v's part, free after the ascent step's L.  The dual returned is u's part.
+and one add over the whole of it, and the two buffers swap roles.  The
+bank calls on them are prepared once per solve.  With the image x they are
+all the arrays a solve makes: a gap check works in x and in a_v's part,
+free after the ascent step's L.  The dual returned is u's part.
 """
 
 from dataclasses import dataclass
@@ -98,8 +98,8 @@ class WeightedAnalysisOperator:
     The weights are read at construction and must not change after it:
     norm_bound is cached from them, and unit, true when they are all
     exactly 1, says that L is the bank alone, as 1.0 * y is y bit for bit.
-    forward and adjoint always apply the weights; on a unit mask the dual
-    prox calls the bank's methods itself.
+    forward and adjoint always apply the weights; the dual prox makes the
+    same multiplies itself, none on a unit mask.
     """
 
     def __init__(self, bank, weights):
@@ -113,10 +113,9 @@ class WeightedAnalysisOperator:
         self.bank = bank
         self.weights = weights
         self.unit = bool(np.all(weights == 1.0))
-        # Scratch shaped like the weights: a weighted adjoint forms
-        # weights * u here.  Any caller may use it between calls; its
-        # contents are not kept.
-        self.workspace = np.empty_like(weights)
+        # C-contiguous scratch shaped like the weights: a weighted adjoint
+        # forms weights * u here.  Any caller may use it between calls.
+        self.workspace = np.empty(weights.shape)
         self._norm_bound = None
 
     def forward(self, x, out=None):
@@ -172,19 +171,13 @@ class ProxResult:
     restarts: int       # iterations whose momentum was restarted
 
 
-def _project_into(X, r):
-    """r <- Proj_X(r), in place."""
-    if not X.is_all_space:
-        r.clip(X.lower, X.upper, out=r)
-
-
 def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     """argmin_{w in X} 0.5*||w - z||^2 + gamma*||L w||_1 plus its dual point.
 
     Accelerated projected gradient on the dual with steps clipped to
     [-gamma, gamma] and momentum t_1 = 1, t_{k+1} = (k+5)/3.  The ascent
     step from v_k is s = L(alpha * x^) for x^ = Proj_X(z - L^T v_k) and
-    alpha = 1/B^2: the step size multiplies the image before L.forward,
+    alpha = 1/B^2: the step size multiplies the image before L is applied,
     not the dual-sized result after it.  The momentum restarts adaptively
     (O'Donoghue & Candes 2015): when s and the move u_{k+1} - u_k have
     <s, u_{k+1} - u_k> < 0, the momentum point is v_{k+1} = u_{k+1}, and
@@ -206,7 +199,7 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     iterations, and the ascent step it took is not completed.  Otherwise
     it stops unconverged after cfg.max_iters iterations and returns
     Proj_X(z - L^T u); a check on the last of them still takes its ascent
-    step, for that step's L.forward.  The result's gap is G/P at the last
+    step, for that step's L.  The result's gap is G/P at the last
     check, nan when the budget ends before the first.
 
     a_k = L^T u_k is carried across iterations, and the momentum point
@@ -215,33 +208,32 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     per iteration, and one L^T to open with a = L^T u, where u is L z on a
     cold start (one more L) and a copy of warm_u, which must be shaped like
     the weights, on a warm one; the checks call neither.  A certified stop
-    after k iterations has made k + 1 L.forward calls on a warm start and
+    after k iterations has applied L k + 1 times on a warm start and
     k + 2 on a cold one.  a_{k+1} is computed fresh from u_{k+1}, so no
-    error builds up.  The restart test costs one vdot.  An operator whose
-    unit attribute is true is its bank alone, so the solve calls
-    L.bank.forward and L.bank.adjoint, bound when it starts.
+    error builds up.  The restart test costs one vdot.  Each L or L^T is a
+    call of L.bank and a weight multiply, which a unit L leaves out.
 
     Each solve makes three arrays when it starts: two flat buffers, each a
     dual-sized part followed by an image-sized one, [u | a] with a = L^T u
     and [v | a_v] with a_v = L^T v, and the image x; the ascent step's L is
-    applied into L.workspace.  The iteration makes no other array, and the
-    bank's stencil stages read their input in place; only numpy's
-    iteration buffers for strided reads come and go per call.  a_v's part
-    first holds alpha * x^, the point L.forward reads.  u_{k+1} is formed
-    in v's part, then u_{k+1} - u_k in u's for the restart test, a_{k+1} in
-    a_v's part and a_{k+1} - a_k in a's.  On images of at most
-    _MERGED_MOMENTUM_MAX_PIXELS pixels one multiply and one add over the
-    whole of [u | a] then form [v_{k+1} | a_{v,k+1}] there; on larger ones
-    v_{k+1} is formed before L^T and a_{v,k+1} after it, with the same
-    operations on every element.  The two buffers then swap roles.  At a
-    check, x holds x_k, then x_k - z, then a copy of x^ taken before alpha
-    scales it; a_v's part, free from the ascent step's L.forward until
-    L^T writes it, holds |s_c| in its first h*w entries, one channel at a
-    time, then x^ - z.  z and warm_u are only read.  The result's x is
+    applied into L.workspace, which W^T reads on a weighted mask.  Four bank
+    calls on them are prepared once: W from each image part, W^T into each.
+    The iteration makes no other array, and the bank's stencil stages read
+    their input in place; only numpy's iteration buffers for strided reads
+    come and go per call.  a_v's part first holds alpha * x^, the point L
+    reads.  u_{k+1} is formed in v's part, then u_{k+1} - u_k in u's for
+    the restart test, a_{k+1} in a_v's part and a_{k+1} - a_k in a's.  On
+    images of at most _MERGED_MOMENTUM_MAX_PIXELS pixels one multiply and
+    one add over the whole of [u | a] then form [v_{k+1} | a_{v,k+1}]
+    there; on larger ones v_{k+1} is formed before L^T and a_{v,k+1} after
+    it, with the same operations on every element.  The two buffers then
+    swap roles.  At a check, x holds x_k, then x_k - z, then a copy of x^
+    taken before alpha scales it; a_v's part, free from the ascent step's L
+    until L^T writes it, holds |s_c| in its first h*w entries, one channel
+    at a time, then x^ - z.  z and warm_u are only read.  The result's x is
     this solve's x, and its dual is u's part of [u | a], so a caller
-    keeping it for a warm start keeps the whole buffer.  L.bank.release()
-    drops the bank's kept plans, which hold views of both buffers, so that
-    they are freed as soon as the caller drops the result.
+    keeping it for a warm start keeps the whole buffer; the prepared calls
+    go when the solve returns.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -255,40 +247,38 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
     bound = L.norm_bound()
     if bound ** 2 < 1e-30:
         # L vanishes: the penalty is zero and the prox is the projection.
-        x = z.copy()
-        _project_into(X, x)
+        x = z.copy() if X.is_all_space else X.project(z)
         return ProxResult(x, np.zeros_like(L.weights), 0, True, np.nan, 0)
     alpha = 1.0 / bound ** 2
 
-    if L.unit:
-        forward, adjoint = L.bank.forward, L.bank.adjoint
-    else:
-        forward, adjoint = L.forward, L.adjoint
-    dual_shape, m = L.weights.shape, L.weights.size
+    bank, weights, unit, step = L.bank, L.weights, L.unit, L.workspace
+    dual_shape, m = weights.shape, weights.size
     ua, va = np.empty(m + z.size), np.empty(m + z.size)
     u, a = ua[:m].reshape(dual_shape), ua[m:].reshape(z.shape)
     v, a_v = va[:m].reshape(dual_shape), va[m:].reshape(z.shape)
     # A check's |s_c| goes to an (h, w) view of the image part's first h*w
     # entries: the image may have more channels than one.
     abs_u, abs_v = (b[m:m + u[0].size].reshape(u.shape[1:]) for b in (ua, va))
+    fwd_u, fwd_v = bank.prepare(0, a, step), bank.prepare(0, a_v, step)
+    adj_u, adj_v = (bank.prepare(1, b if unit else step, out)
+                    for b, out in ((u, a), (v, a_v)))
     if warm_u is None:
-        forward(z, out=u)
+        (bank.forward if unit else L.forward)(z, out=u)
     elif np.shape(warm_u) != dual_shape:
         raise ValueError(f"warm_u must be shaped {dual_shape}, got "
                          f"{np.shape(warm_u)}")
     else:
         np.copyto(u, warm_u)
-    adjoint(u, out=a)
+    (bank.adjoint if unit else L.adjoint)(u, out=a)
     np.copyto(va, ua)
     x = np.empty(z.shape)
-    step = L.workspace
     box, lower, upper = not X.is_all_space, X.lower, X.upper
     merged = z.size <= _MERGED_MOMENTUM_MAX_PIXELS
     t, j, restarts, ratio, converged = 1.0, 1, 0, np.nan, False
     # Bound once: the loop makes some 15 numpy calls per iteration, and on
     # small images their lookups weigh.
     add, subtract, multiply, vdot = np.add, np.subtract, np.multiply, np.vdot
-    reduce_add = np.add.reduce
+    reduce_add, forward, adjoint = np.add.reduce, bank.forward, bank.adjoint
     # Pass k takes the ascent step of iteration k + 1 from v_k, which a
     # check pairs with u_k, and completes the iteration unless it stops.
     for k in range(cfg.max_iters + 1):
@@ -309,7 +299,10 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
             a_v.clip(lower, upper, out=a_v)
         if check:
             np.copyto(x, a_v)
-        forward(multiply(a_v, alpha, out=a_v), out=step)
+        multiply(a_v, alpha, out=a_v)
+        forward(fwd_v)
+        if not unit:
+            multiply(weights, step, out=step)
         if check:
             penalty = 0.0
             for s in step:
@@ -336,22 +329,25 @@ def prox_weighted_l1(z, L, gamma, X, cfg, warm_u=None, ceiling=np.inf):
         else:
             t_next = momentum_next(j)
             t, j, beta = t_next, j + 1, (t - 1.0) / t_next
+        if not unit:
+            multiply(weights, v, out=step)
         if merged:
-            adjoint(v, out=a_v)
+            adjoint(adj_v)
             subtract(a_v, a, out=a)
             multiply(ua, beta, out=ua)
             add(va, ua, out=ua)
         else:
             multiply(u, beta, out=u)
             add(v, u, out=u)
-            adjoint(v, out=a_v)
+            adjoint(adj_v)
             subtract(a_v, a, out=a)
             multiply(a, beta, out=a)
             add(a_v, a, out=a)
         u, v, a, a_v, ua, va = v, u, a_v, a, va, ua
-        abs_u, abs_v = abs_v, abs_u
+        abs_u, abs_v, fwd_u, fwd_v, adj_u, adj_v = (abs_v, abs_u, fwd_v,
+                                                    fwd_u, adj_v, adj_u)
     if not converged:
         np.subtract(z, a, out=x)
-        _project_into(X, x)
-    L.bank.release()
+        if box:
+            x.clip(lower, upper, out=x)
     return ProxResult(x, u, k, converged, ratio, restarts)

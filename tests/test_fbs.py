@@ -276,17 +276,20 @@ def test_one_adjoint_per_prox_iteration_plus_one_per_solve(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(fbs, "prox_weighted_l1", recording_prox)
-    counted_H, counted_L = Counting(H), Counting(L)
+    # L = diag(weights) W: each application of L or L^T is one of W or W^T,
+    # counted at the bank.
+    counted_H, counted_W = Counting(H), Counting(L.bank)
+    counted_L = WeightedAnalysisOperator(counted_W, L.weights)
     res = fbs_solve(counted_H, y, counted_L, 1e-2, np.zeros((16, 16)), 2,
                     cfg, X, warm_u=warm_u)
     # One prox call per FBS step, each opening with one L^T of its warm dual.
     assert len(results) == res.iterations
-    assert counted_L.calls["adjoint"] == res.prox_iterations + res.iterations
+    assert counted_W.calls["adjoint"] == res.prox_iterations + res.iterations
     # The gap checks call no bank.  Every solve ends at a check (k_prox is a
-    # multiple of 5), whose ascent step adds the solve's one more L.forward.
+    # multiple of 5), whose ascent step adds the solve's one more L.
     assert any(r.converged for r in results)
     assert all(r.iterations % 5 == 0 for r in results)
-    assert counted_L.calls["forward"] == res.prox_iterations + res.iterations
+    assert counted_W.calls["forward"] == res.prox_iterations + res.iterations
     assert counted_H.calls == {"adjoint": 1, "normal": res.iterations}
 
 
@@ -346,8 +349,7 @@ def test_identity_path_takes_a_fixed_eps_fbs():
 def test_identity_path_drops_its_copy_of_the_data_before_the_prox(unit):
     # The identity path's prox takes z = H^T y itself, so its peak is the
     # prox's seven image-sized arrays and z; with H^T y kept next to a
-    # gradient step's z through the prox it was nine images.  256x256
-    # images keep no bank plans.
+    # gradient step's z through the prox it was nine images.
     shape = (256, 256)
     rng = Rng(14)
     y = rng.uniform_array(shape) + 0.1 * rng.gaussian_array(shape)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -607,38 +608,37 @@ def test_stencil_steps_are_built_once_per_shape(monkeypatch):
     assert all(len(bank._runners) == 4 for bank in used.values())
 
 
-def stencil_plans(bank, direction, shape):
-    """The plans kept by a one-stage stencil bank's runner for inputs of
-    this shape."""
-    (app,) = bank._appliers
-    assert type(app) is _StencilStage
-    return bank._runners[direction, shape].plans
+def prepared_test_banks():
+    """Every stencil test bank and every bank of out_test_banks, which
+    adds FFT stages and a bank that mixes the two."""
+    banks = stencil_test_banks()
+    banks.update(("out-" + name, bank)
+                 for name, bank in out_test_banks().items())
+    return banks
 
 
 def test_plan_replay_reads_the_input_as_it_is_now():
-    # The prox calls the bank on the same buffers with new contents each
-    # iteration: a replay gives the bits of a fresh bank, and keeps its plan.
+    # The dual prox prepares its bank calls once per solve, a plan each,
+    # and replays them on buffers whose contents change every iteration:
+    # each replay reads the input as it is then, and gives the bits of a
+    # plain call.
     rng = Rng(48)
-    for name, bank in stencil_test_banks().items():
-        fresh = stencil_test_banks()[name]
-        x = np.empty((bank.in_channels, 8, 8))
-        s = np.empty((bank.out_channels, 8, 8))
-        fwd = np.empty_like(s)
-        adj = np.empty(x.shape[1:] if bank.in_channels == 1 else x.shape)
-        first_calls = {}
-        for draw in range(3):
-            x[...] = np.round(rng.gaussian_array(x.shape), draw)
-            s[...] = np.round(rng.gaussian_array(s.shape), draw)
-            assert bank.forward(x, out=fwd) is fwd
-            assert bank.adjoint(s, out=adj) is adj
-            assert_same_bits(fwd, fresh.forward(x))
-            assert_same_bits(adj, fresh.adjoint(s))
-            if len(bank.stages) == 1:
-                for direction, arg, out in ((0, x, fwd), (1, s, adj)):
-                    (plan,) = stencil_plans(bank, direction, arg.shape)
-                    assert plan[0] is arg and plan[1] is out
-                    assert plan[2] is first_calls.setdefault(direction,
-                                                             plan[2])
+    banks, fresh = prepared_test_banks(), prepared_test_banks()
+    for shape in ((8, 8), (5, 9), (64, 64), (72, 72), (256, 256)):
+        for name, bank in banks.items():
+            c_in, c_out = bank.in_channels, bank.out_channels
+            x = np.empty(shape if c_in == 1 else (c_in,) + shape)
+            s = np.empty((c_out,) + shape)
+            fwd, adj = np.empty_like(s), np.empty_like(x)
+            forward = bank.prepare(0, x, fwd)
+            adjoint = bank.prepare(1, s, adj)
+            for draw in range(3):
+                x[...] = np.round(rng.gaussian_array(x.shape), draw)
+                s[...] = np.round(rng.gaussian_array(s.shape), draw)
+                assert bank.forward(forward) is fwd
+                assert bank.adjoint(adjoint) is adj
+                assert_same_bits(fwd, fresh[name].forward(x))
+                assert_same_bits(adj, fresh[name].adjoint(s))
 
 
 def read_only_like(a):
@@ -647,43 +647,48 @@ def read_only_like(a):
     return a
 
 
-@pytest.mark.parametrize("name", ["difference", "box", "pairs", "two-stage"])
-def test_plan_replay_rechecks_out(name):
-    # A new out object gets the bits of a fresh bank; an out made read-only,
-    # or reshaped in place, gets the error a fresh bank gives, and works
-    # again once restored.
-    bank, fresh = stencil_test_banks()[name], stencil_test_banks()[name]
+@pytest.mark.parametrize("name", ["difference", "box", "pairs", "two-stage",
+                                  "out-spectral", "out-two-stage"])
+def test_prepare_refuses_pairs_it_cannot_run_in_place(name):
+    # A prepared call is checked once, when it is made.  Where a plain call
+    # refuses the pair too, prepare raises the plain call's error; stencil
+    # stages refuse a read-only out with numpy's message.
+    bank = prepared_test_banks()[name]
     x = Rng(49).gaussian_array((bank.in_channels, 8, 8))
-    ref = fresh.forward(x)
-    out, other = np.empty_like(ref), np.empty_like(ref)
-    bank.forward(x, out=out)
-    assert bank.forward(x, out=other) is other
-    assert_same_bits(other, ref)
-    with pytest.raises(ValueError, match="read-only") as want:
-        fresh.forward(x, out=read_only_like(ref))
-    for target in (out, other):
-        target.flags.writeable = False
-        with pytest.raises(ValueError, match="read-only") as got:
-            bank.forward(x, out=target)
+    out = np.empty((bank.out_channels, 8, 8))
+    for arg, bad in ((np.concatenate([x, x[:1]]), out),
+                     (x, np.empty((bank.out_channels, 8, 9))),
+                     (x, out.astype(np.float32))):
+        with pytest.raises(ValueError) as want:
+            bank.forward(arg, out=bad)
+        with pytest.raises(ValueError) as got:
+            bank.prepare(0, arg, bad)
         assert str(got.value) == str(want.value)
-        target.flags.writeable = True
-        target[...] = np.nan
-        assert bank.forward(x, out=target) is target
-        assert_same_bits(target, ref)
-    out.shape = (ref.shape[0], 4, 16)
-    with pytest.raises(ValueError, match="out must be"):
-        bank.forward(x, out=out)
-    out.shape = ref.shape
-    out[...] = np.nan
-    assert bank.forward(x, out=out) is out
-    assert_same_bits(out, ref)
+    with pytest.raises(ValueError, match="read-only") as got:
+        bank.prepare(0, x, read_only_like(out))
+    if type(bank._appliers[-1]) is _StencilStage:
+        with pytest.raises(ValueError) as want:
+            bank.forward(x, out=read_only_like(out))
+        assert str(got.value) == str(want.value)
+    # It reads a float64 input in place: anything else would need a copy.
+    for arg in (x.astype(np.float32), x.tolist()):
+        with pytest.raises(ValueError, match="float64 input"):
+            bank.prepare(0, arg, out)
+    # It runs only on the method and bank it was made for, with no out.
+    forward = bank.prepare(0, x, out)
+    other = prepared_test_banks()[name]
+    for apply, kwargs in ((bank.adjoint, {}), (other.forward, {}),
+                          (bank.forward, {"out": out})):
+        with pytest.raises(ValueError, match="on the method it was made"):
+            apply(forward, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["difference", "box", "pairs"])
 def test_arrays_that_alias_or_do_not_flatten_keep_no_plan(name):
-    # Each case takes the checked path on every call: the input copied
-    # where it shares memory with out, out filled from a new array where it
-    # has no flat view.  Repeated, each gives the bits of a fresh bank.
+    # Plain calls copy an input that shares memory with out, and fill an
+    # out with no flat view from a new array; each gives, repeated, the
+    # bits of a fresh bank.  A plan reads its input and writes its out in
+    # place, so prepare refuses these pairs.
     bank, fresh = stencil_test_banks()[name], stencil_test_banks()[name]
     rng = Rng(50)
     c_in, c_out = bank.in_channels, bank.out_channels
@@ -692,38 +697,43 @@ def test_arrays_that_alias_or_do_not_flatten_keep_no_plan(name):
     buf = np.empty(2 * size)
     shared = buf[:x.size].reshape(x.shape)
     overlap = buf[x.size // 2:][:64 * c_out].reshape(c_out, 8, 8)
-    cases = [(shared, overlap),
-             (shared, buf[:64 * c_out].reshape(c_out, 8, 8)),
-             (x[:, :, ::-1], np.empty((c_out, 8, 8))),
-             (np.asfortranarray(x), np.empty((c_out, 8, 8))),
-             (x, np.empty((c_out, 8, 16))[..., :8]),
-             (x, np.empty((c_out, 9, 8))[:, :8])]
-    for arg, out in cases:
+    cases = [(shared, overlap, "share memory"),
+             (shared, buf[:64 * c_out].reshape(c_out, 8, 8), "share memory"),
+             (x[:, :, ::-1], np.empty((c_out, 8, 8)), "C-contiguous float64"),
+             (np.asfortranarray(x), np.empty((c_out, 8, 8)),
+              "C-contiguous float64"),
+             (x, np.empty((c_out, 8, 16))[..., :8], "C-contiguous out"),
+             (x, np.empty((c_out, 9, 8))[:, :8], "C-contiguous out")]
+    for arg, out, message in cases:
         for _ in range(3):
             if arg is shared:
                 shared[...] = x
             ref = fresh.forward(arg)
             assert bank.forward(arg, out=out) is out
             assert_same_bits(out, ref)
-        assert stencil_plans(bank, 0, x.shape) == []
+        with pytest.raises(ValueError, match=message):
+            bank.prepare(0, arg, out)
 
 
-def test_a_runner_keeps_two_plans_and_none_for_large_images():
-    bank = difference_bank()
+def test_bank_calls_keep_no_array_of_the_caller():
+    # A bank holds no reference to the arrays of earlier calls, plain or
+    # prepared: each is freed once the caller drops it.
     rng = Rng(51)
-    for shape, kept in (((8, 8), 2), ((64, 64), 2), ((64, 65), 0),
-                        ((256, 256), 0)):
-        x = rng.gaussian_array(shape)
-        outs = [np.empty((2,) + shape) for _ in range(3)]
-        calls = outs + outs
-        for i, out in enumerate(calls):
-            bank.forward(x, out=out)
-            # The latest two outs, the oldest first.
-            expect = calls[max(i + 1 - kept, 0):i + 1] if kept else []
-            assert [id(p[1]) for p in stencil_plans(bank, 0, shape)] == [
-                id(o) for o in expect]
-        bank.forward(x)
-        assert len(stencil_plans(bank, 0, shape)) == kept
+    for bank in prepared_test_banks().values():
+        for shape in ((8, 8), (64, 64)):
+            c_in, c_out = bank.in_channels, bank.out_channels
+            x = rng.gaussian_array(shape if c_in == 1 else (c_in,) + shape)
+            s = rng.gaussian_array((c_out,) + shape)
+            fwd, adj = np.empty_like(s), np.empty_like(x)
+            bank.forward(x, out=fwd)
+            bank.adjoint(s, out=adj)
+            prepared = bank.prepare(0, x, fwd), bank.prepare(1, s, adj)
+            bank.forward(prepared[0])
+            bank.adjoint(prepared[1])
+            results = bank.forward(x), bank.adjoint(s)
+            refs = [weakref.ref(a) for a in (x, s, fwd, adj) + results]
+            del x, s, fwd, adj, prepared, results
+            assert [r() is None for r in refs] == [True] * len(refs)
 
 
 def test_multi_stage_banks_on_their_own_buffers_match_fresh_banks():
@@ -746,25 +756,11 @@ def test_multi_stage_banks_on_their_own_buffers_match_fresh_banks():
                 assert_same_bits(adj, fresh.adjoint(s))
 
 
-def test_release_drops_every_kept_plan():
-    bank, fresh = stencil_test_banks()["signs"], stencil_test_banks()["signs"]
-    x = Rng(54).gaussian_array((8, 8))
-    s = bank.forward(x)
-    fwd, adj = np.empty_like(s), np.empty_like(x)
-    for _ in range(2):
-        bank.forward(x, out=fwd)
-        bank.adjoint(s, out=adj)
-        assert [len(plans) for plans in bank._plans] == [1, 1]
-        bank.release()
-        assert [len(plans) for plans in bank._plans] == [0, 0]
-        assert_same_bits(fwd, fresh.forward(x))
-        assert_same_bits(adj, fresh.adjoint(s))
-
-
 def test_multi_stage_banks_keep_no_plans():
     # A chain hands its last stage a new intermediate array at every call,
-    # so a plan kept for it could never be replayed: none is kept, and
-    # repeated calls on the same x and out still give a fresh bank's bits.
+    # so no ufunc plan on fixed arrays exists for it: a prepared call of a
+    # chain runs the chain's runner on its x and out.  Repeated plain and
+    # prepared calls on the same x and out give a fresh bank's bits.
     grouped = Rng(55).gaussian_array((2, 1, 3, 3))
 
     def make():
@@ -772,11 +768,24 @@ def test_multi_stage_banks_keep_no_plans():
                            ConvStage(grouped, groups=2)])
     bank, fresh = make(), make()
     rng = Rng(56)
-    x, s = rng.gaussian_array((8, 8)), rng.gaussian_array((2, 8, 8))
+    x, s = np.empty((8, 8)), np.empty((2, 8, 8))
     fwd, adj = np.empty((2, 8, 8)), np.empty((8, 8))
+    forward, adjoint = bank.prepare(0, x, fwd), bank.prepare(1, s, adj)
+    for prepared, runner, arg, out in ((forward, bank._runners[0, (8, 8)],
+                                        x, fwd),
+                                       (adjoint, bank._runners[1, (2, 8, 8)],
+                                        s, adj)):
+        ((f, args),) = prepared.calls
+        assert f is runner and args[0] is arg and args[1] is out
     for _ in range(3):
+        x[...] = rng.gaussian_array(x.shape)
+        s[...] = rng.gaussian_array(s.shape)
         assert bank.forward(x, out=fwd) is fwd
         assert bank.adjoint(s, out=adj) is adj
         assert_same_bits(fwd, fresh.forward(x))
         assert_same_bits(adj, fresh.adjoint(s))
-        assert bank._plans and all(plans == [] for plans in bank._plans)
+        fwd[...] = adj[...] = np.nan
+        assert bank.forward(forward) is fwd
+        assert bank.adjoint(adjoint) is adj
+        assert_same_bits(fwd, fresh.forward(x))
+        assert_same_bits(adj, fresh.adjoint(s))

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -439,28 +440,51 @@ def test_outer_loop_stops_at_a_fixed_point_at_zero():
                                        (run_safi, default_safi_model)],
                          ids=["cvx", "mmr", "safi"])
 def test_schemes_release_the_plans_of_their_solves(monkeypatch, run, make):
-    # The analysis bank keeps plans that hold the buffers of the prox solve
-    # that made them; each prox solve releases them before it returns, so
-    # no scheme step ends with a plan kept.
+    # Each prox solve prepares its bank calls, plans that hold views of its
+    # buffers; nothing keeps them once the solve returns, so no scheme step
+    # ends with a plan alive.
     model = make()
-    kept, released = [], []
+    made, alive = [], []
+
+    def prepare(bank, direction, x, out):
+        call = real_prepare(bank, direction, x, out)
+        made.append(weakref.ref(call))
+        return call
 
     def solve(*args, **kwargs):
         res = real(*args, **kwargs)
-        kept.append(sum(map(len, model.W._plans)))
+        alive.append(sum(ref() is not None for ref in made))
         return res
 
-    def release(bank):
-        released.append(sum(map(len, bank._plans)))
-        real_release(bank)
-
-    real, real_release = schemes.fbs_solve, FilterBank.release
+    real, real_prepare = schemes.fbs_solve, FilterBank.prepare
     monkeypatch.setattr(schemes, "fbs_solve", solve)
-    monkeypatch.setattr(FilterBank, "release", release)
+    monkeypatch.setattr(FilterBank, "prepare", prepare)
     y = Rng(53).gaussian_array((8, 8))
     run(model, IdentityOp(), y, SolverConfig(k_out=3))
-    assert released and min(released) > 0
-    assert kept and max(kept) == 0
+    assert len(made) >= 4 * len(alive) > 0
+    assert max(alive) == 0
+
+
+@pytest.mark.parametrize("run, make", [(run_cvx, default_tv_model),
+                                       (run_mmr, default_tv_model),
+                                       (run_safi, default_safi_model)],
+                         ids=["cvx", "mmr", "safi"])
+@pytest.mark.parametrize("mri", [False, True], ids=["denoise", "mri"])
+def test_scheme_runs_keep_no_array_of_the_caller(run, make, mri):
+    # The models' banks hold no array of a finished run, so the data and
+    # the result are freed once the caller drops them.
+    model = make()
+    rng = Rng(53)
+    if mri:
+        H = MaskedDftOp(make_cartesian_mask(16, 4, 0.1, Rng(9)), 16, 16)
+        y = H.forward(make_phantom(16, seed=4))
+    else:
+        H, y = IdentityOp(), rng.gaussian_array((8, 8))
+    x, trace = run(model, H, y, SolverConfig(k_out=3))
+    assert trace.prox_iterations and min(trace.prox_iterations) > 0
+    refs = [weakref.ref(y), weakref.ref(x)]
+    del x, y
+    assert [r() is None for r in refs] == [True, True]
 
 
 @pytest.mark.parametrize("run", [run_mmr, run_safi], ids=["mmr", "safi"])
